@@ -1,11 +1,11 @@
 //! Criterion microbenchmarks for the hot components: CRC, slot hash, MSK
-//! modulation/demodulation, ANC resolution, record-store cascade, and the
-//! frame estimator.
+//! modulation/demodulation, the signal-tier noise/reference/demod kernels,
+//! ANC resolution, record-store cascade, and the frame estimator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_anc::CollisionRecordStore;
-use rfid_signal::{anc, ChannelModel, MskConfig, MskDemodulator, MskModulator};
-use rfid_sim::seeded_rng;
+use rfid_signal::{anc, cascade, ChannelModel, Complex, MskConfig, MskDemodulator, MskModulator};
+use rfid_sim::{noise_stream_seed, seeded_rng, CounterRng};
 use rfid_types::{crc, hash, TagId};
 
 fn bench_crc(c: &mut Criterion) {
@@ -34,6 +34,48 @@ fn bench_msk(c: &mut Criterion) {
     });
     c.bench_function("msk_demodulate_96bit", |b| {
         b.iter(|| demodulator.demodulate(black_box(&wave)));
+    });
+}
+
+/// The three signal-tier kernels of a record's life: the reference a
+/// cache miss modulates, the per-hop noise a cascaded attempt draws on
+/// its counter stream, and the demodulation of the residual.
+fn bench_signal_kernels(c: &mut Criterion) {
+    let cfg = MskConfig::default();
+    let bits = TagId::from_payload(0xA5A5).to_bits();
+    let modulator = MskModulator::new(cfg.clone());
+    let mut span = vec![Complex::ZERO; cfg.samples_for_bits(bits.len())];
+    c.bench_function("msk_reference_to_slice_96bit", |b| {
+        b.iter(|| {
+            modulator.reference_to_slice(black_box(&bits), &mut span);
+            black_box(&span);
+        });
+    });
+
+    let mixed = anc::transmit_mixed(
+        &[TagId::from_payload(1), TagId::from_payload(2)],
+        &cfg,
+        &ChannelModel::default().noiseless(),
+        &mut seeded_rng(4),
+    );
+    let mut degraded = Vec::new();
+    let mut record = 0u64;
+    c.bench_function("cascade_degrade_into_769", |b| {
+        b.iter(|| {
+            record += 1;
+            let mut rng = CounterRng::new(noise_stream_seed(1, record, 2));
+            cascade::degrade_into(black_box(&mixed), 0.1, &mut rng, &mut degraded);
+            black_box(&degraded);
+        });
+    });
+
+    let demodulator = MskDemodulator::new(cfg);
+    let mut decoded = Vec::new();
+    c.bench_function("msk_demodulate_into_96bit", |b| {
+        b.iter(|| {
+            demodulator.demodulate_into(black_box(&degraded), &mut decoded);
+            black_box(&decoded);
+        });
     });
 }
 
@@ -114,6 +156,7 @@ criterion_group!(
     bench_crc,
     bench_hash,
     bench_msk,
+    bench_signal_kernels,
     bench_anc_resolve,
     bench_energy_receiver,
     bench_binomial_sampling,

@@ -250,6 +250,9 @@ pub struct ReferenceCache {
     modulator: MskModulator,
     ids: Vec<TagId>,
     data: Vec<Complex>,
+    /// `inner_product(wave(i), wave(i))` per span: the Gram diagonal of
+    /// every fit that uses reference `i`.
+    self_inner: Vec<Complex>,
     bits: Vec<bool>,
 }
 
@@ -262,6 +265,7 @@ impl ReferenceCache {
             modulator: MskModulator::new(cfg.clone()),
             ids: Vec::new(),
             data: Vec::new(),
+            self_inner: Vec::new(),
             bits: Vec::new(),
         }
     }
@@ -270,6 +274,7 @@ impl ReferenceCache {
     pub fn clear(&mut self) {
         self.ids.clear();
         self.data.clear();
+        self.self_inner.clear();
     }
 
     /// The span index of `id` if it is cached.
@@ -292,8 +297,11 @@ impl ReferenceCache {
         let start = idx * self.span;
         self.data.resize(start + self.span, Complex::ZERO);
         id.write_bits(&mut self.bits);
-        self.modulator
-            .reference_to_slice(&self.bits, &mut self.data[start..start + self.span]);
+        let self_inner = self.modulator.reference_to_slice_with_self_inner(
+            &self.bits,
+            &mut self.data[start..start + self.span],
+        );
+        self.self_inner.push(self_inner);
         idx
     }
 
@@ -324,6 +332,16 @@ impl ReferenceCache {
     #[must_use]
     pub fn wave(&self, idx: usize) -> &[Complex] {
         &self.data[idx * self.span..(idx + 1) * self.span]
+    }
+
+    /// `inner_product(wave(idx), wave(idx))`, computed once at insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[must_use]
+    pub(crate) fn self_inner(&self, idx: usize) -> Complex {
+        self.self_inner[idx]
     }
 }
 
@@ -383,7 +401,14 @@ pub fn subtract_known_prepared(
                 .expect("reference must be cached before subtract_known_prepared"),
         );
     }
-    linalg::least_squares_gains_by(known.len(), |j| cache.wave(refs[j]), samples, ls, gains)?;
+    linalg::least_squares_gains_by(
+        known.len(),
+        |j| cache.wave(refs[j]),
+        |j| cache.self_inner(refs[j]),
+        samples,
+        ls,
+        gains,
+    )?;
     for (j, &gain) in gains.iter().enumerate() {
         crate::kernels::sub_scaled(residual, cache.wave(refs[j]), gain);
     }
@@ -414,6 +439,7 @@ pub fn transmit_mixed_cached<R: Rng + ?Sized>(
     let len = cfg.samples_for_bits(rfid_types::TAG_ID_BITS as usize);
     assert_eq!(out.len(), len, "output span must be a whole-ID waveform");
     out.fill(Complex::ZERO);
+    let mut offset_modulator = None;
     for &tag in tags {
         let params = model.draw(rng);
         if params.freq_offset == 0.0 {
@@ -424,7 +450,7 @@ pub fn transmit_mixed_cached<R: Rng + ?Sized>(
         } else {
             // Frequency offsets rotate per sample; keep the shaped-copy
             // path of the uncached variant.
-            let modulator = MskModulator::new(cfg.clone());
+            let modulator = offset_modulator.get_or_insert_with(|| MskModulator::new(cfg.clone()));
             tag.write_bits(&mut scratch.bits);
             modulator.reference_into(&scratch.bits, &mut scratch.component);
             params.apply_in_place(&mut scratch.component);
@@ -434,14 +460,15 @@ pub fn transmit_mixed_cached<R: Rng + ?Sized>(
     model.add_noise(out, rng);
 }
 
-/// Allocation-free [`decode_singleton`] reusing a bit buffer.
-#[must_use]
-pub fn decode_singleton_with(
+/// Allocation-free [`decode_singleton`] reusing a bit buffer, for a caller
+/// that already holds `power == mean_power(samples)`.
+pub(crate) fn decode_singleton_with_power(
     samples: &[Complex],
+    power: f64,
     cfg: &MskConfig,
     bits: &mut Vec<bool>,
 ) -> Option<TagId> {
-    if mean_power(samples) < EMPTY_RESIDUAL_POWER {
+    if power < EMPTY_RESIDUAL_POWER {
         return None;
     }
     MskDemodulator::new(cfg.clone()).demodulate_into(samples, bits);
@@ -743,6 +770,66 @@ mod tests {
     #[test]
     fn energy_estimate_empty_is_none() {
         assert_eq!(estimate_two_amplitudes(&[]), None);
+    }
+
+    #[test]
+    fn cached_gram_diagonal_is_the_inner_product() {
+        // The diagonal the fit reads from the cache is the very
+        // inner product it used to recompute, through evictions too.
+        let mut cache = ReferenceCache::new(&cfg());
+        for i in 0..(MAX_CACHED_REFERENCES as u128 + 40) {
+            let idx = cache.ensure(TagId::from_payload(i * 7_919 + 1));
+            let wave = cache.wave(idx);
+            let (cached, direct) = (
+                cache.self_inner(idx),
+                crate::complex::inner_product(wave, wave),
+            );
+            // Bit patterns, so a flipped zero sign would show too.
+            assert_eq!(
+                (cached.re.to_bits(), cached.im.to_bits()),
+                (direct.re.to_bits(), direct.im.to_bits()),
+                "id {i}"
+            );
+        }
+        // The fit against the cached diagonal is the fit against
+        // recomputed inner products: same residual to the bit.
+        let mut rng = StdRng::seed_from_u64(21);
+        let ids: Vec<TagId> = (0..4).map(|i| TagId::from_payload(300 + i)).collect();
+        let mixed = transmit_mixed(&ids, &cfg(), &quiet_model(), &mut rng);
+        let mut scratch = ResolveScratch::default();
+        for k in 1..=3 {
+            for &id in &ids[..k] {
+                cache.ensure(id);
+            }
+            subtract_known_prepared(&mixed, &ids[..k], &cache, &mut scratch).unwrap();
+            assert_eq!(
+                scratch.residual,
+                subtract_known(&mixed, &ids[..k], &cfg()).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn offset_components_match_the_uncached_mixture() {
+        // With frequency offsets every component takes the shaped-copy
+        // path of the cached synthesizer; it must still match the
+        // uncached variant sample for sample.
+        let model = quiet_model().with_max_freq_offset(0.02);
+        let ids: Vec<TagId> = (0..3).map(|i| TagId::from_payload(40 + i)).collect();
+        let mut cache = ReferenceCache::new(&cfg());
+        let mut scratch = MixScratch::default();
+        let mut cached = vec![Complex::ZERO; cfg().samples_for_bits(96)];
+        transmit_mixed_cached(
+            &ids,
+            &cfg(),
+            &model,
+            &mut StdRng::seed_from_u64(4),
+            &mut cache,
+            &mut scratch,
+            &mut cached,
+        );
+        let plain = transmit_mixed(&ids, &cfg(), &model, &mut StdRng::seed_from_u64(4));
+        assert_eq!(cached, plain);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! clean-channel runs byte-identical to the ideal resolution model.
 
 use crate::anc::{self, AncError, ReferenceCache, ResolveScratch};
-use crate::channel::standard_normal_pair;
+use crate::channel::for_each_standard_normal_pair;
 use crate::complex::{inner_product, mean_power, Complex};
 use crate::msk::{MskConfig, MskModulator};
 use rand::Rng;
@@ -140,7 +140,7 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
 /// deviation `extra_noise_std` per real dimension — the RNG-consuming half
 /// of a cascaded attempt, split out so callers can hand it a *per-record
 /// counter stream* and run it inside the parallel evaluation phase. One
-/// Box-Muller pair covers each complex sample (`re ← z0`, `im ← z1`);
+/// polar normal pair covers each complex sample (`re ← z0`, `im ← z1`);
 /// realizations depend only on the stream handed in, never on what other
 /// records drew.
 pub fn degrade_into<R: Rng + ?Sized>(
@@ -154,10 +154,9 @@ pub fn degrade_into<R: Rng + ?Sized>(
     if extra_noise_std <= 0.0 {
         return;
     }
-    for s in out.iter_mut() {
-        let (re, im) = standard_normal_pair(rng);
-        *s += Complex::new(extra_noise_std * re, extra_noise_std * im);
-    }
+    for_each_standard_normal_pair(rng, out.len(), |i, re, im| {
+        out[i] += Complex::new(extra_noise_std * re, extra_noise_std * im);
+    });
 }
 
 /// The pure (RNG-free) half of a cascaded resolution attempt: subtract the
@@ -213,7 +212,8 @@ pub fn resolve_prepared(
         Err(AncError::EmptyResidual)
     } else {
         let crate::anc::ResolveScratch { residual, bits, .. } = scratch;
-        anc::decode_singleton_with(residual, cfg, bits).ok_or(AncError::CrcMismatch)
+        anc::decode_singleton_with_power(residual, residual_power, cfg, bits)
+            .ok_or(AncError::CrcMismatch)
     };
     ResolutionAttempt {
         recovered,
@@ -303,6 +303,29 @@ mod tests {
 
     fn cfg() -> MskConfig {
         MskConfig::default()
+    }
+
+    #[test]
+    fn degrade_matches_per_pair_noise_and_rng_end_state() {
+        use crate::channel::standard_normal_pair;
+        use rand::RngCore;
+        let mixed: Vec<Complex> = (0..769)
+            .map(|i| Complex::new((i as f64 * 0.1).cos(), (i as f64 * 0.1).sin()))
+            .collect();
+        let stream = rfid_sim::noise_stream_seed(9, 123, 2);
+        let mut rng = rfid_sim::CounterRng::new(stream);
+        let mut out = vec![Complex::ONE; 5]; // stale contents must not leak
+        degrade_into(&mixed, 0.07, &mut rng, &mut out);
+        let mut reference = rfid_sim::CounterRng::new(stream);
+        let expect: Vec<Complex> = mixed
+            .iter()
+            .map(|&s| {
+                let (re, im) = standard_normal_pair(&mut reference);
+                s + Complex::new(0.07 * re, 0.07 * im)
+            })
+            .collect();
+        assert_eq!(out, expect);
+        assert_eq!(rng.next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -52,20 +52,65 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     standard_normal_pair(rng).0
 }
 
+/// Candidate points per block of [`for_each_standard_normal_pair`]: three
+/// stack arrays of this many `f64`s (3 KiB).
+const POLAR_BLOCK: usize = 128;
+
+/// Draws `pairs` standard-normal pairs and hands pair `i` to
+/// `emit(i, z0, z1)`, in order — the block form of calling
+/// [`standard_normal_pair`] `pairs` times.
+///
+/// Each block draws at most as many `(u, v)` candidates as pairs are still
+/// needed, so it never over-draws: the sequential loop would draw every one
+/// of those candidates too (it stops only at its `pairs`-th acceptance),
+/// in the same order, and accept the same ones. The accepted points are
+/// compacted without a branch, and only then transformed, so the
+/// independent `ln`/div/`sqrt` evaluations of a block can overlap instead
+/// of waiting behind a hard-to-predict accept/reject branch. Samples and
+/// the generator's end state are bit-identical to the per-pair loop
+/// (pinned by the tests below for `StdRng` and the counter streams).
+pub(crate) fn for_each_standard_normal_pair<R, F>(rng: &mut R, pairs: usize, mut emit: F)
+where
+    R: Rng + ?Sized,
+    F: FnMut(usize, f64, f64),
+{
+    let mut us = [0.0f64; POLAR_BLOCK];
+    let mut vs = [0.0f64; POLAR_BLOCK];
+    let mut ss = [0.0f64; POLAR_BLOCK];
+    let mut done = 0;
+    while done < pairs {
+        let draws = (pairs - done).min(POLAR_BLOCK);
+        let mut accepted = 0;
+        for _ in 0..draws {
+            let u = rng.gen::<f64>() * 2.0 - 1.0;
+            let v = rng.gen::<f64>() * 2.0 - 1.0;
+            let s = u * u + v * v;
+            // Always store, advance only on acceptance: `accepted` never
+            // exceeds the draw index, so a rejected point is overwritten.
+            us[accepted] = u;
+            vs[accepted] = v;
+            ss[accepted] = s;
+            accepted += usize::from((s > 0.0) & (s < 1.0));
+        }
+        for (j, ((&u, &v), &s)) in us.iter().zip(&vs).zip(&ss).take(accepted).enumerate() {
+            let f = (-2.0 * s.ln() / s).sqrt();
+            emit(done + j, u * f, v * f);
+        }
+        done += accepted;
+    }
+}
+
 /// Batched normal fill: writes one standard-normal variate per element of
-/// `out`, consuming one polar transform per `chunks_exact` pair (the
-/// second variate lands in the pair's second element instead of being
+/// `out`, consuming one polar transform per pair of elements (the second
+/// variate lands in the pair's second element instead of being
 /// discarded). An odd tail costs one extra transform.
 pub fn fill_standard_normal_into<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut chunks = out.chunks_exact_mut(2);
-    for pair in &mut chunks {
-        let (z0, z1) = standard_normal_pair(rng);
-        pair[0] = z0;
-        pair[1] = z1;
-    }
-    if let [last] = chunks.into_remainder() {
-        *last = standard_normal_pair(rng).0;
-    }
+    for_each_standard_normal_pair(rng, out.len().div_ceil(2), |i, z0, z1| {
+        out[2 * i] = z0;
+        if let Some(last) = out.get_mut(2 * i + 1) {
+            *last = z1;
+        }
+    });
 }
 
 /// The realized channel of one tag transmission: amplitude gain, phase
@@ -250,10 +295,10 @@ impl ChannelModel {
         if self.noise_std == 0.0 {
             return;
         }
-        for s in samples {
-            let (re, im) = standard_normal_pair(rng);
-            *s += Complex::new(self.noise_std * re, self.noise_std * im);
-        }
+        let std = self.noise_std;
+        for_each_standard_normal_pair(rng, samples.len(), |i, re, im| {
+            samples[i] += Complex::new(std * re, std * im);
+        });
     }
 
     /// The mean per-sample SNR (in dB) of a single component of amplitude
@@ -280,7 +325,7 @@ impl Default for ChannelModel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn identity_preserves_signal() {
@@ -418,10 +463,11 @@ mod tests {
     fn fill_kernel_matches_pair_sequence_and_handles_odd_tails() {
         // The fill kernel is the pair generator laid out flat: same draws,
         // same values, and an odd tail takes the cosine half of one extra
-        // transform.
-        for len in [0usize, 1, 2, 7, 64, 769] {
+        // transform, leaving the generator where the pair loop leaves it.
+        for len in [0usize, 1, 2, 7, 64, 255, 256, 257, 769] {
             let mut filled = vec![0.0f64; len];
-            fill_standard_normal_into(&mut StdRng::seed_from_u64(17), &mut filled);
+            let mut fill_rng = StdRng::seed_from_u64(17);
+            fill_standard_normal_into(&mut fill_rng, &mut filled);
             let mut rng = StdRng::seed_from_u64(17);
             let mut expect = Vec::with_capacity(len);
             while expect.len() + 2 <= len {
@@ -433,6 +479,68 @@ mod tests {
                 expect.push(standard_normal_pair(&mut rng).0);
             }
             assert_eq!(filled, expect, "len {len}");
+            assert_eq!(fill_rng.next_u64(), rng.next_u64(), "len {len}");
+        }
+    }
+
+    /// The per-pair reference the block helper replaces: `pairs` calls of
+    /// [`standard_normal_pair`], then the generator's next output.
+    fn per_pair_loop<R: Rng>(mut rng: R, pairs: usize) -> (Vec<(f64, f64)>, u64) {
+        let drawn = (0..pairs).map(|_| standard_normal_pair(&mut rng)).collect();
+        (drawn, rng.next_u64())
+    }
+
+    fn block_helper<R: Rng>(mut rng: R, pairs: usize) -> (Vec<(f64, f64)>, u64) {
+        let mut drawn = Vec::new();
+        for_each_standard_normal_pair(&mut rng, pairs, |i, z0, z1| {
+            assert_eq!(i, drawn.len(), "pairs are emitted in order");
+            drawn.push((z0, z1));
+        });
+        (drawn, rng.next_u64())
+    }
+
+    #[test]
+    fn block_polar_matches_per_pair_loop_and_rng_end_state() {
+        // Same samples to the bit and the same next draw afterwards, for
+        // lengths around the 128-candidate block edge and a whole-ID
+        // waveform, on the sequential generator and the counter streams.
+        for len in [0usize, 1, 127, 128, 129, 769] {
+            for seed in [0u64, 5, 0xDEAD_BEEF] {
+                assert_eq!(
+                    block_helper(StdRng::seed_from_u64(seed), len),
+                    per_pair_loop(StdRng::seed_from_u64(seed), len),
+                    "StdRng seed {seed} len {len}"
+                );
+                let stream = rfid_sim::noise_stream_seed(seed, 17, 3);
+                assert_eq!(
+                    block_helper(rfid_sim::CounterRng::new(stream), len),
+                    per_pair_loop(rfid_sim::CounterRng::new(stream), len),
+                    "CounterRng seed {seed} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_noise_matches_per_pair_loop() {
+        let model = ChannelModel::default().with_noise_std(0.3);
+        for len in [0usize, 1, 129, 769] {
+            let clean: Vec<Complex> = (0..len)
+                .map(|i| Complex::new(i as f64 * 0.01, -(i as f64) * 0.02))
+                .collect();
+            let mut noisy = clean.clone();
+            let mut rng = rfid_sim::CounterRng::new(41);
+            model.add_noise(&mut noisy, &mut rng);
+            let mut reference = rfid_sim::CounterRng::new(41);
+            let expect: Vec<Complex> = clean
+                .iter()
+                .map(|&s| {
+                    let (re, im) = standard_normal_pair(&mut reference);
+                    s + Complex::new(0.3 * re, 0.3 * im)
+                })
+                .collect();
+            assert_eq!(noisy, expect, "len {len}");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "len {len}");
         }
     }
 

@@ -190,25 +190,42 @@ pub fn least_squares_gains_with(
     scratch: &mut LsScratch,
     gains: &mut Vec<Complex>,
 ) -> Result<(), SolveError> {
-    least_squares_gains_by(basis.len(), |j| basis[j], y, scratch, gains)
+    least_squares_gains_by(
+        basis.len(),
+        |j| basis[j],
+        |j| crate::complex::inner_product(basis[j], basis[j]),
+        y,
+        scratch,
+        gains,
+    )
 }
 
 /// [`least_squares_gains_with`] with the basis supplied by an indexing
 /// closure — lets callers fit against spans of a contiguous arena (e.g.
 /// the reference cache) without materializing a slice-of-slices.
 ///
+/// `self_inner(j)` must return `inner_product(basis(j), basis(j))`: it
+/// fills the Gram diagonal, so a caller that already holds each basis
+/// waveform's self inner product (the reference cache computes it once
+/// per insert) skips recomputing it on every fit. Only the diagonal is
+/// taken from it; off-diagonal entries are each formed from their own
+/// inner product, never mirrored by conjugation, which could flip the
+/// sign of a zero.
+///
 /// # Errors
 ///
 /// Same contract as [`least_squares_gains`].
-pub fn least_squares_gains_by<'a, F>(
+pub fn least_squares_gains_by<'a, F, D>(
     k: usize,
     basis: F,
+    self_inner: D,
     y: &[Complex],
     scratch: &mut LsScratch,
     gains: &mut Vec<Complex>,
 ) -> Result<(), SolveError>
 where
     F: Fn(usize) -> &'a [Complex],
+    D: Fn(usize) -> Complex,
 {
     gains.clear();
     if k == 0 {
@@ -227,7 +244,11 @@ where
     scratch.proj.resize(k, Complex::ZERO);
     for i in 0..k {
         for j in 0..k {
-            scratch.gram[i * k + j] = crate::complex::inner_product(basis(j), basis(i));
+            scratch.gram[i * k + j] = if i == j {
+                self_inner(i)
+            } else {
+                crate::complex::inner_product(basis(j), basis(i))
+            };
         }
         scratch.proj[i] = crate::complex::inner_product(y, basis(i));
     }

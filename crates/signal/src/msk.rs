@@ -154,6 +154,19 @@ impl MskModulator {
         theta0: f64,
         out: &mut [Complex],
     ) {
+        self.synthesize::<false>(bits, amplitude, theta0, out);
+    }
+
+    /// Writes the waveform into `out` and, when `SELF_INNER`, returns
+    /// `inner_product(out, out)` accumulated in the same pass (same terms,
+    /// same order, so the same bits); otherwise returns zero.
+    fn synthesize<const SELF_INNER: bool>(
+        &self,
+        bits: &[bool],
+        amplitude: f64,
+        theta0: f64,
+        out: &mut [Complex],
+    ) -> Complex {
         let spb = self.config.samples_per_bit as usize;
         let period = 4 * spb;
         assert_eq!(
@@ -165,20 +178,30 @@ impl MskModulator {
         // carries amplitude and initial phase; every sample is then a
         // table lookup on the (periodic) phase lattice.
         let base = Complex::from_polar(amplitude, theta0);
+        let last = period - 1;
         let mut k = 0usize;
+        let mut self_inner = Complex::ZERO;
         out[0] = base;
-        let mut i = 1;
-        for &bit in bits {
-            for _ in 0..spb {
-                k = if bit {
-                    (k + 1) % period
-                } else {
-                    (k + period - 1) % period
+        if SELF_INNER {
+            self_inner += base * base.conj();
+        }
+        for (&bit, span) in bits.iter().zip(out[1..].chunks_exact_mut(spb)) {
+            for s in span {
+                // Compare-and-wrap: the lattice index `(k ± 1) mod period`
+                // without a hardware divide per sample.
+                k = match (bit, k) {
+                    (true, k) if k == last => 0,
+                    (true, k) => k + 1,
+                    (false, 0) => last,
+                    (false, k) => k - 1,
                 };
-                out[i] = base * self.table[k];
-                i += 1;
+                *s = base * self.table[k];
+                if SELF_INNER {
+                    self_inner += *s * s.conj();
+                }
             }
         }
+        self_inner
     }
 
     /// The reference (unit-amplitude, zero-phase) waveform for `bits`, used
@@ -197,6 +220,41 @@ impl MskModulator {
     /// [`MskModulator::modulate_to_slice`]).
     pub fn reference_to_slice(&self, bits: &[bool], out: &mut [Complex]) {
         self.modulate_to_slice(bits, 1.0, 0.0, out);
+    }
+
+    /// [`MskModulator::reference_to_slice`] that also returns the
+    /// reference's self inner product, bit-identical to
+    /// `inner_product(out, out)` but accumulated while the samples are
+    /// written — the Gram-matrix diagonal the reference cache keeps.
+    pub(crate) fn reference_to_slice_with_self_inner(
+        &self,
+        bits: &[bool],
+        out: &mut [Complex],
+    ) -> Complex {
+        self.synthesize::<true>(bits, 1.0, 0.0, out)
+    }
+}
+
+/// `z.arg() > 0.0`, decided from the signs of `z` whenever they settle it.
+///
+/// `atan2(im, re)` is positive exactly when `im > 0`, except where the
+/// quotient `im/re` is so small that the angle rounds to zero: `re = +∞`
+/// (`atan2(1, +∞) = +0`) or an underflowing ratio. So `im < 0` is a 0,
+/// `im > 0` with `re ≤ 0` is a 1 (the angle lies in `[π/2, π]`), and
+/// `im > 0` with `re > 0` is a 1 when `im ≥ re·ε`, where the angle is at
+/// least about `ε` and cannot round to zero. `re = +∞` makes `re·ε`
+/// infinite, so only `im = +∞` passes there (`atan2(∞, ∞) = π/4`); a NaN
+/// fails every comparison. Everything else — signed zeros, NaN,
+/// `re = +∞` under a finite `im`, a vanishing ratio — asks `atan2`, so
+/// the decision is bit-for-bit the `arg` rule it replaces (pinned by the
+/// special-value and random-bit-pattern tests below).
+#[inline]
+fn phase_step_is_positive(z: Complex) -> bool {
+    let one = (z.im > 0.0) & ((z.re <= 0.0) | (z.im >= z.re * f64::EPSILON));
+    if one | (z.im < 0.0) {
+        one
+    } else {
+        z.arg() > 0.0
     }
 }
 
@@ -241,7 +299,7 @@ impl MskDemodulator {
         for k in 0..nbits {
             let a = samples[k * spb];
             let b = samples[(k + 1) * spb];
-            out.push((b * a.conj()).arg() > 0.0);
+            out.push(phase_step_is_positive(b * a.conj()));
         }
     }
 
@@ -340,6 +398,132 @@ mod tests {
         let wave = MskModulator::new(cfg.clone()).modulate(&bits, 2.0, 0.0);
         let (_, conf) = MskDemodulator::new(cfg).demodulate_with_confidence(&wave);
         assert!((conf - 4.0).abs() < 1e-9);
+    }
+
+    /// The `% period` phase stepping the compare-and-wrap loop replaced.
+    fn modulate_with_modulo(
+        m: &MskModulator,
+        bits: &[bool],
+        amplitude: f64,
+        theta0: f64,
+    ) -> Vec<Complex> {
+        let spb = m.config.samples_per_bit as usize;
+        let period = 4 * spb;
+        let base = Complex::from_polar(amplitude, theta0);
+        let mut out = vec![base];
+        let mut k = 0usize;
+        for &bit in bits {
+            for _ in 0..spb {
+                k = if bit {
+                    (k + 1) % period
+                } else {
+                    (k + period - 1) % period
+                };
+                out.push(base * m.table[k]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn compare_and_wrap_stepping_matches_modulo_form() {
+        let mut rng = StdRng::seed_from_u64(77);
+        for spb in [1u32, 2, 8] {
+            let m = MskModulator::new(MskConfig::new(spb));
+            for _ in 0..200 {
+                let len = rng.gen_range(0..200usize);
+                // Long runs of one bit value drive the index through both
+                // wrap points, not just around its start.
+                let bias = rng.gen::<f64>();
+                let bits: Vec<bool> = (0..len).map(|_| rng.gen::<f64>() < bias).collect();
+                let amplitude = rng.gen_range(0.01..10.0);
+                let theta0 = rng.gen_range(-7.0..7.0);
+                assert_eq!(
+                    m.modulate(&bits, amplitude, theta0),
+                    modulate_with_modulo(&m, &bits, amplitude, theta0),
+                    "spb {spb} len {len}"
+                );
+                let mut reference = vec![Complex::ZERO; bits.len() * spb as usize + 1];
+                let self_inner = m.reference_to_slice_with_self_inner(&bits, &mut reference);
+                assert_eq!(reference, modulate_with_modulo(&m, &bits, 1.0, 0.0));
+                assert_eq!(
+                    self_inner,
+                    crate::complex::inner_product(&reference, &reference)
+                );
+            }
+        }
+    }
+
+    fn assert_decision_matches_arg(re: f64, im: f64) {
+        let z = Complex::new(re, im);
+        assert_eq!(
+            phase_step_is_positive(z),
+            z.arg() > 0.0,
+            "decision differs from atan2 at ({re:e}, {im:e}) = ({:#x}, {:#x})",
+            re.to_bits(),
+            im.to_bits()
+        );
+    }
+
+    #[test]
+    fn sign_decision_matches_atan2_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0, // mid-range subnormal
+            -f64::MIN_POSITIVE / 3.0,
+            f64::EPSILON,
+            1.0,
+            -1.0,
+            1e-300,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for &re in &specials {
+            for &im in &specials {
+                assert_decision_matches_arg(re, im);
+            }
+        }
+        // The two cases a bare sign rule gets wrong: atan2(1, +inf) = +0,
+        // and a ratio that underflows the angle to zero.
+        assert!(!phase_step_is_positive(Complex::new(f64::INFINITY, 1.0)));
+        assert!(!phase_step_is_positive(Complex::new(1e300, 1e-300)));
+        assert_decision_matches_arg(f64::INFINITY, 1.0);
+        assert_decision_matches_arg(1e300, 1e-300);
+    }
+
+    #[test]
+    fn sign_decision_matches_atan2_on_random_bit_patterns() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        // Uniform bit patterns: every exponent, NaN payload and subnormal.
+        for _ in 0..1_000_000 {
+            assert_decision_matches_arg(f64::from_bits(rng.gen()), f64::from_bits(rng.gen()));
+        }
+        // Ratios straddling the `im ≥ re·ε` threshold, where the fast path
+        // hands over to atan2.
+        for _ in 0..200_000 {
+            let re = f64::from_bits(rng.gen::<u64>() >> 1); // any non-negative
+            let edge = re * f64::EPSILON;
+            for im in [
+                edge.next_down(),
+                edge,
+                edge.next_up(),
+                edge * 0.5,
+                edge * 2.0,
+            ] {
+                assert_decision_matches_arg(re, im);
+            }
+        }
     }
 
     #[test]
