@@ -10,11 +10,11 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
 pub mod output;
 pub mod perf;
 pub mod serve;
 pub mod trace;
 
 pub use experiments::ExperimentOptions;
+pub use rfid_sim::obs::json;
 pub use serve::{ServeOptions, Server};

@@ -27,6 +27,7 @@
 //! scoped-thread peeling pass must reproduce the single-worker report
 //! byte-identically at every worker count.
 
+use crate::json::Json;
 use criterion::measure_with_budget;
 use rfid_anc::{
     BackendModel, CompressedSensing, Fcat, FcatConfig, Membership, Mpr, ResolutionModel, Scat,
@@ -317,7 +318,10 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
         ),
         None => None,
     };
-    let speedups = baseline.as_deref().map(|b| compute_speedups(&entries, b));
+    let speedups = baseline
+        .as_deref()
+        .map(|b| compute_speedups(&entries, b))
+        .transpose()?;
 
     let json = render_json(opts, &entries, speedups.as_deref());
     if let Some(parent) = opts.out.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -398,14 +402,13 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
             .map(|e| e.slots_per_sec)
             .filter(|v| *v > 0.0)
     };
+    let committed =
+        committed_cells(gate, "slots_per_sec").map_err(|e| format!("gate file: {e}"))?;
     let gate_sps = |name: &str, n: usize| -> Option<f64> {
-        gate.lines()
-            .filter(|l| l.contains("\"slots\":"))
-            .find(|l| {
-                extract_json_str(l, "name") == Some(name)
-                    && extract_json_num(l, "n") == Some(n as f64)
-            })
-            .and_then(|l| extract_json_num(l, "slots_per_sec"))
+        committed
+            .iter()
+            .find(|(cell, cell_n, _)| cell == name && *cell_n == n)
+            .map(|&(_, _, v)| v)
             .filter(|v| *v > 0.0)
     };
 
@@ -507,24 +510,14 @@ fn baseline_alias(name: &str) -> &str {
     }
 }
 
-/// Matches entries against a previous run's JSON by (name, n). The baseline
-/// file is our own output format: one entry object per line, identified by
-/// the presence of a `"slots"` key.
-fn compute_speedups(entries: &[Entry], baseline: &str) -> Vec<Speedup> {
+/// Matches entries against a previous run's JSON by (name, n); fails when
+/// the baseline does not parse.
+fn compute_speedups(entries: &[Entry], baseline: &str) -> Result<Vec<Speedup>, String> {
     let mut speedups = Vec::new();
-    for line in baseline.lines() {
-        if !line.contains("\"slots\":") {
-            continue;
-        }
-        let (Some(name), Some(n), Some(base)) = (
-            extract_json_str(line, "name"),
-            extract_json_num(line, "n"),
-            extract_json_num(line, "best_wall_s"),
-        ) else {
-            continue;
-        };
-        let name = baseline_alias(name);
-        let n = n as usize;
+    for (name, n, base) in
+        committed_cells(baseline, "best_wall_s").map_err(|e| format!("baseline file: {e}"))?
+    {
+        let name = baseline_alias(&name);
         if let Some(e) = entries.iter().find(|e| e.name == name && e.n == n) {
             if base > 0.0 && e.best_wall_s > 0.0 {
                 speedups.push(Speedup {
@@ -537,22 +530,27 @@ fn compute_speedups(entries: &[Entry], baseline: &str) -> Vec<Speedup> {
             }
         }
     }
-    speedups
+    Ok(speedups)
 }
 
-fn extract_json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-fn extract_json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The `(name, n, field)` triple of every `entries` row of a `BENCH_*.json`
+/// document that carries all three; other rows are skipped.
+fn committed_cells(text: &str, field: &str) -> Result<Vec<(String, usize, f64)>, String> {
+    let doc = Json::parse(text)?;
+    let rows = doc
+        .get("entries")
+        .and_then(Json::as_array)
+        .ok_or("no \"entries\" array")?;
+    Ok(rows
+        .iter()
+        .filter_map(|row| {
+            Some((
+                row.get("name")?.as_str()?.to_owned(),
+                row.get("n")?.as_usize()?,
+                row.get(field)?.as_f64()?,
+            ))
+        })
+        .collect())
 }
 
 /// `{:?}` gives the shortest f64 representation that round-trips, which is
@@ -641,16 +639,48 @@ fn render_json(opts: &BenchOptions, entries: &[Entry], speedups: Option<&[Speedu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rfid_sim::obs::jsonl::replay;
+    use rfid_sim::obs::JsonlSink;
+    use std::sync::OnceLock;
 
-    #[test]
-    fn json_field_extraction() {
-        let line =
-            r#"  {"name":"scat2/hash","n":10000,"slots":17000,"best_wall_s":0.4132,"iters":3},"#;
-        assert_eq!(extract_json_str(line, "name"), Some("scat2/hash"));
-        assert_eq!(extract_json_num(line, "n"), Some(10_000.0));
-        assert_eq!(extract_json_num(line, "best_wall_s"), Some(0.4132));
-        assert_eq!(extract_json_num(line, "iters"), Some(3.0));
-        assert_eq!(extract_json_num(line, "missing"), None);
+    const BENCH_PR7: &str = include_str!("../../../BENCH_PR7.json");
+
+    /// A bench file re-serialized the way a JSON formatter would: one key
+    /// per line and a space after every `:`.
+    fn pretty(compact: &str) -> String {
+        compact
+            .replace("\":", "\": ")
+            .replace(",\"", ",\n    \"")
+            .replace("{\"", "{\n    \"")
+    }
+
+    /// The cells of a committed bench file as this run's measurements, with
+    /// every signal-soa cell's throughput divided by `slowdown`.
+    fn measured(text: &str, slowdown: f64) -> Vec<Entry> {
+        let walls = committed_cells(text, "best_wall_s").unwrap();
+        committed_cells(text, "slots_per_sec")
+            .unwrap()
+            .into_iter()
+            .zip(walls)
+            .map(|((name, n, slots_per_sec), (_, _, best_wall_s))| Entry {
+                slots_per_sec: if name.contains("/signal-soa") {
+                    slots_per_sec / slowdown
+                } else {
+                    slots_per_sec
+                },
+                name,
+                n,
+                slots: 1,
+                identified: n,
+                best_wall_s,
+                iters: 1,
+                allocs: None,
+                allocs_per_slot: None,
+                slot_level: false,
+                alloc_limit: None,
+            })
+            .collect()
     }
 
     #[test]
@@ -674,10 +704,39 @@ mod tests {
   {"name":"scat2/hash","n":500,"slots":900,"identified":500,"best_wall_s":0.01,"slots_per_sec":1.0,"iters":9,"slot_level":true}
 ]
 }"#;
-        let speedups = compute_speedups(&entries, baseline);
+        let speedups = compute_speedups(&entries, baseline).unwrap();
         assert_eq!(speedups.len(), 1);
         assert_eq!(speedups[0].n, 10_000);
         assert!((speedups[0].speedup - 3.0).abs() < 1e-12);
+        assert!(compute_speedups(&entries, "{\"entries\":[").is_err());
+    }
+
+    #[test]
+    fn gate_and_baseline_read_pretty_printed_bench_files() {
+        let pretty = pretty(BENCH_PR7);
+        assert!(pretty.contains("\n    \"name\": \"fcat2/signal-soa\","));
+        for slowdown in [1.0, 2.0] {
+            let entries = measured(BENCH_PR7, slowdown);
+            assert_eq!(
+                check_throughput_gate(&entries, &pretty),
+                check_throughput_gate(&entries, BENCH_PR7),
+                "slowdown {slowdown}"
+            );
+        }
+        assert_eq!(
+            check_throughput_gate(&measured(BENCH_PR7, 1.0), &pretty),
+            Ok(())
+        );
+        let err = check_throughput_gate(&measured(BENCH_PR7, 2.0), &pretty).unwrap_err();
+        assert!(err.contains("throughput regressed"), "{err}");
+
+        let entries = measured(BENCH_PR7, 1.0);
+        let compact = compute_speedups(&entries, BENCH_PR7).unwrap();
+        assert_eq!(compact.len(), entries.len());
+        assert_eq!(
+            format!("{:?}", compute_speedups(&entries, &pretty).unwrap()),
+            format!("{compact:?}")
+        );
     }
 
     #[test]
@@ -696,13 +755,87 @@ mod tests {
         assert!(json.contains("\"schema\":\"anc-rfid-bench/1\""));
         assert!(json.contains("\"name\":\"scat2/hash\""));
         assert!(json.contains("\"name\":\"aqs\""));
-        // Entry lines are parseable by the same extractor used for baselines.
-        let entry_lines: Vec<&str> = json.lines().filter(|l| l.contains("\"slots\":")).collect();
-        assert!(!entry_lines.is_empty());
-        for line in entry_lines {
-            assert!(extract_json_str(line, "name").is_some());
-            assert!(extract_json_num(line, "best_wall_s").is_some());
-        }
+        // Every entry is readable by the same reader used for baselines.
+        let cells = committed_cells(&json, "best_wall_s").expect("bench JSON parses");
+        assert_eq!(cells.len(), json.matches("\"slots\":").count());
         std::fs::remove_file(&out).ok();
+    }
+
+    /// Inputs the JSON reader meets from outside the process: a committed
+    /// bench file, a JSONL trace of a 200-tag FCAT-2 run, and `repro serve`
+    /// request lines.
+    fn fuzz_seeds() -> &'static [Vec<u8>] {
+        static SEEDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        SEEDS.get_or_init(|| {
+            let mut trace = JsonlSink::new(Vec::new());
+            let tags = population::uniform(&mut seeded_rng(9), 200);
+            rfid_sim::run_inventory_observed(
+                &Fcat::new(FcatConfig::default()),
+                &tags,
+                &SimConfig::default().with_seed(9),
+                &mut trace,
+            )
+            .expect("traced run");
+            let requests = [
+                r#"{"protocol":"fcat","tags":500,"spacing":20,"seed":7}"#,
+                r#"{"protocol":"SCAT","lambda":4,"seed":9,"tags":50,"width":30,"height":20,
+                    "spacing":10,"range":8,"workers":2,"threads":3,"queue_capacity":16,
+                    "drain_delay_ms":5}"#,
+                r#"{"churn_rate":0,"churn_dwell":3.5,"churn_rounds":12,"churn_audit_every":1}"#,
+                r#"{"tags":30,"seed":5,"churn_rate":2,"churn_rounds":6,"churn_audit_every":2}"#,
+                r#"{"width":"wide"}"#,
+            ];
+            vec![
+                BENCH_PR7.as_bytes().to_vec(),
+                trace.finish().expect("in-memory trace"),
+                requests.join("\n").into_bytes(),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Truncated, byte-flipped and chunk-dropped copies of the seeds
+        /// never panic the parser, the trace replay or the gate/baseline
+        /// reader: failures come back as `Err`, and replay still counts
+        /// every non-blank line.
+        #[test]
+        fn mutated_inputs_never_panic_the_json_readers(
+            seed in 0usize..3,
+            edits in proptest::collection::vec((0u8..3, any::<u64>(), any::<u8>()), 1..8),
+        ) {
+            let mut bytes = fuzz_seeds()[seed].clone();
+            for (kind, at, byte) in edits {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = (at % bytes.len() as u64) as usize;
+                match kind {
+                    0 => bytes.truncate(at),
+                    1 => bytes[at] ^= byte.max(1),
+                    _ => {
+                        bytes.drain(at..(at + usize::from(byte)).min(bytes.len()));
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = Json::parse(&text);
+            for line in text.lines() {
+                let _ = Json::parse(line);
+            }
+            match replay::summarize(bytes.as_slice()) {
+                Ok(summary) => prop_assert_eq!(
+                    summary.lines,
+                    text.lines().filter(|l| !l.trim().is_empty()).count() as u64
+                ),
+                // The only error replay may return is the reader's: bytes
+                // that are not UTF-8.
+                Err(error) => prop_assert!(std::str::from_utf8(&bytes).is_err(), "{error}"),
+            }
+            let entries = measured(BENCH_PR7, 1.0);
+            let _ = check_throughput_gate(&entries, &text);
+            let _ = compute_speedups(&entries, &text);
+        }
     }
 }

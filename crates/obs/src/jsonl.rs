@@ -11,9 +11,9 @@
 //!
 //! The format is hand-rolled (this workspace builds offline, without
 //! serde_json): every field is a number, a bare keyword, or a fixed-alphabet
-//! hex string, so the emitted lines are valid JSON. The [`replay`] parser
-//! reads the same subset back for post-hoc verification — see
-//! [`replay::summarize`].
+//! hex string, so the emitted lines are valid JSON. [`replay::summarize`]
+//! reads traces back for post-hoc verification through the workspace's one
+//! JSON parser, [`crate::json::Json`].
 
 use crate::event::{
     DetectionEvent, EstimatorEvent, LambdaEvent, PopulationEvent, RecordEvent, ScheduleEvent,
@@ -424,6 +424,7 @@ impl<W: Write> EventSink for JsonlSink<W> {
 /// Reading traces back, for post-hoc verification and tooling.
 pub mod replay {
     use super::SlotTotals;
+    use crate::json::Json;
     use crate::metrics::SnrByHop;
     use std::io::{self, BufRead};
 
@@ -487,64 +488,42 @@ pub mod replay {
         pub missing_detected: u64,
         /// Detection latency summed over `detection` events, µs.
         pub detection_latency_us: f64,
-        /// Total lines parsed.
+        /// Non-blank lines read, whether or not they parsed.
         pub lines: u64,
     }
 
-    /// Extracts the raw value of `"key":<value>` from a single JSON line
-    /// produced by this module (flat objects, no escaped quotes in values).
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let needle = format!("\"{key}\":");
-        let start = line.find(&needle)? + needle.len();
-        let rest = &line[start..];
-        let end = rest
-            .char_indices()
-            .scan(false, |in_string, (i, c)| {
-                match c {
-                    '"' => *in_string = !*in_string,
-                    ',' | '}' if !*in_string => return Some(Some(i)),
-                    _ => {}
-                }
-                Some(None)
-            })
-            .flatten()
-            .next()?;
-        Some(rest[..end].trim_matches('"'))
-    }
-
-    fn num(line: &str, key: &str) -> u64 {
-        field(line, key)
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0)
-    }
-
-    fn fnum(line: &str, key: &str) -> f64 {
-        field(line, key)
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0)
-    }
+    /// The legacy spelling of a `-inf` residual SNR: an over-range number
+    /// literal, which the parser rightly rejects.
+    const LEGACY_NEG_INF_SNR: &str = "\"residual_snr_db\":-1e999";
 
     /// Parses a residual SNR back from the wire encoding. Current traces
     /// spell non-finite values as the string sentinels `"inf"`, `"-inf"`
-    /// and `"nan"` ([`field`] strips the quotes, so the bare tokens arrive
-    /// here). Legacy traces are still readable: `null` was the old
-    /// spelling of `+inf` (noiseless channel) and `-1e999` saturates to
-    /// `-inf` through the standard `f64` parser. Note the legacy format
-    /// also wrote NaN as `null`, so NaN in *old* traces is unrecoverable —
-    /// that lossiness is exactly what the sentinel encoding fixes.
-    fn snr(line: &str) -> Option<f64> {
-        match field(line, "residual_snr_db")? {
-            "inf" | "null" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            raw => raw.parse::<f64>().ok(),
+    /// and `"nan"`. Legacy traces are still readable: `null` was the old
+    /// spelling of `+inf` (noiseless channel), and the old bare `-1e999`
+    /// for `-inf` is rewritten to the `"-inf"` sentinel before parsing
+    /// (`LEGACY_NEG_INF_SNR`). Note the legacy format also wrote NaN as
+    /// `null`, so NaN in *old* traces is unrecoverable — that lossiness is
+    /// exactly what the sentinel encoding fixes.
+    fn snr(line: &Json) -> Option<f64> {
+        match line.get("residual_snr_db")? {
+            Json::Null => Some(f64::INFINITY),
+            Json::Num(db) => Some(*db),
+            Json::Str(sentinel) => match sentinel.as_str() {
+                "inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                "nan" => Some(f64::NAN),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
     /// Replays a JSONL trace and rolls it up into a [`TraceSummary`].
     ///
-    /// Unknown line types are counted in `lines` and otherwise ignored, so
-    /// the format can grow without breaking old readers.
+    /// Each non-blank line is parsed as one JSON object
+    /// ([`Json::parse`]). Lines of unknown type, and lines that do not
+    /// parse, are counted in `lines` and otherwise ignored, so the format
+    /// can grow without breaking old readers.
     ///
     /// # Errors
     ///
@@ -557,63 +536,86 @@ pub mod replay {
                 continue;
             }
             summary.lines += 1;
-            match field(&line, "type") {
+            let line = line.replace(LEGACY_NEG_INF_SNR, "\"residual_snr_db\":\"-inf\"");
+            let Ok(line) = Json::parse(&line) else {
+                continue;
+            };
+            match line.get("type").and_then(Json::as_str) {
                 Some("slot") => {
-                    match field(&line, "class") {
+                    match line.get("class").and_then(Json::as_str) {
                         Some("empty") => summary.slots.empty += 1,
                         Some("singleton") => summary.slots.singleton += 1,
                         Some("collision") => summary.slots.collision += 1,
                         _ => {}
                     }
-                    summary.learned_direct += num(&line, "learned_direct");
-                    summary.learned_resolved += num(&line, "learned_resolved");
+                    summary.learned_direct += line
+                        .get("learned_direct")
+                        .and_then(Json::as_u64)
+                        .unwrap_or(0);
+                    summary.learned_resolved += line
+                        .get("learned_resolved")
+                        .and_then(Json::as_u64)
+                        .unwrap_or(0);
                 }
-                Some("record") => match field(&line, "event") {
+                Some("record") => match line.get("event").and_then(Json::as_str) {
                     Some("created") => summary.records_created += 1,
                     Some("resolved") => summary.records_resolved += 1,
                     Some("attempted") => {
                         summary.resolution_attempts += 1;
                         if let Some(db) = snr(&line) {
-                            summary.snr_by_hop.observe(num(&line, "hop") as u32, db);
+                            summary.snr_by_hop.observe(
+                                line.get("hop").and_then(Json::as_u64).unwrap_or(0) as u32,
+                                db,
+                            );
                         }
                     }
                     Some("recovered") => {
                         summary.slots_recovered += 1;
-                        summary.replies_recovered += num(&line, "decoded");
+                        summary.replies_recovered +=
+                            line.get("decoded").and_then(Json::as_u64).unwrap_or(0);
                     }
                     _ => {}
                 },
                 Some("estimator") => summary.estimator_updates += 1,
                 Some("schedule") => {
                     summary.schedule_slices += 1;
-                    summary.scheduled_sites += num(&line, "sites");
-                    summary.schedule_wall_us += fnum(&line, "wall_us");
-                    summary.schedule_serial_us += fnum(&line, "serial_us");
+                    summary.scheduled_sites +=
+                        line.get("sites").and_then(Json::as_u64).unwrap_or(0);
+                    summary.schedule_wall_us +=
+                        line.get("wall_us").and_then(Json::as_f64).unwrap_or(0.0);
+                    summary.schedule_serial_us +=
+                        line.get("serial_us").and_then(Json::as_f64).unwrap_or(0.0);
                 }
                 Some("site") => {
                     summary.sites_completed += 1;
-                    summary.site_identified += num(&line, "identified");
+                    summary.site_identified +=
+                        line.get("identified").and_then(Json::as_u64).unwrap_or(0);
                 }
                 Some("metrics") => {
                     summary.coalesced_snapshots += 1;
-                    summary.dropped_events = num(&line, "dropped_events");
+                    summary.dropped_events = line
+                        .get("dropped_events")
+                        .and_then(Json::as_u64)
+                        .unwrap_or(0);
                 }
                 Some("lambda") => {
                     summary.lambda_adjustments += 1;
-                    summary.lambda_current = num(&line, "lambda") as u32;
+                    summary.lambda_current =
+                        line.get("lambda").and_then(Json::as_u64).unwrap_or(0) as u32;
                 }
-                Some("population") => match field(&line, "kind") {
+                Some("population") => match line.get("kind").and_then(Json::as_str) {
                     Some("arrival") => summary.arrivals += 1,
                     Some("departure") => summary.departures += 1,
                     _ => {}
                 },
                 Some("detection") => {
-                    match field(&line, "kind") {
+                    match line.get("kind").and_then(Json::as_str) {
                         Some("unknown") => summary.unknown_detected += 1,
                         Some("missing") => summary.missing_detected += 1,
                         _ => {}
                     }
-                    summary.detection_latency_us += fnum(&line, "latency_us");
+                    summary.detection_latency_us +=
+                        line.get("latency_us").and_then(Json::as_f64).unwrap_or(0.0);
                 }
                 _ => {}
             }
@@ -1095,6 +1097,23 @@ mod tests {
         );
         let err = sink.finish().expect_err("flush error surfaces");
         assert_eq!(err.to_string(), "flush refused");
+    }
+
+    #[test]
+    fn replay_reads_spaced_lines_and_skips_unparseable_ones() {
+        // Valid JSON with whitespace around `:` and `,` — a hand-written or
+        // re-serialized trace — replays like the compact wire form; a line
+        // that does not parse is counted and otherwise ignored.
+        let text = "{\"type\": \"slot\", \"class\": \"empty\", \"learned_direct\": 0}\n\
+                    { \"type\" : \"schedule\" , \"sites\" : 3 , \"wall_us\" : 2.5 }\n\
+                    {\"type\":\"slot\",\"class\":\"collision\"\n";
+        let summary = replay::summarize(BufReader::new(text.as_bytes())).expect("replay");
+        assert_eq!(summary.lines, 3);
+        assert_eq!(summary.slots.empty, 1);
+        assert_eq!(summary.slots.total(), 1);
+        assert_eq!(summary.schedule_slices, 1);
+        assert_eq!(summary.scheduled_sites, 3);
+        assert_eq!(summary.schedule_wall_us, 2.5);
     }
 
     #[test]

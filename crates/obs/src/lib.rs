@@ -16,6 +16,9 @@
 //!   histograms, mergeable across runs.
 //! - [`JsonlSink`] — writes one JSON line per event;
 //!   [`jsonl::replay::summarize`] reads traces back for verification.
+//! - [`json::Json`] — the workspace's one JSON parser (depth-capped,
+//!   never panics), shared by trace replay, `repro serve` and `repro
+//!   bench`.
 //!
 //! ## Determinism contract
 //!
@@ -25,6 +28,7 @@
 //! this.
 
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod stream;

@@ -74,8 +74,8 @@ pub mod shard;
 pub use config::{ErrorModel, LambdaPolicy, SimConfig};
 pub use error::SimError;
 pub use multisite::{
-    multi_site_inventory, multi_site_inventory_scheduled, multi_site_inventory_scheduled_observed,
-    Deployment, InterferenceGraph, MultiSiteReport, PlacedTag, Schedule, SliceTiming,
+    multi_site_inventory, Deployment, InterferenceGraph, MultiSiteReport, PlacedTag, Schedule,
+    SliceTiming,
 };
 pub use population::{
     run_monitoring, run_monitoring_observed, Detection, DwellModel, MonitorConfig,
@@ -89,7 +89,10 @@ pub use rng::{derive_seed, noise_stream_seed, seeded_rng, CounterRng};
 pub use runner::{
     run_inventory, run_inventory_observed, run_many, run_many_observed, run_many_with_populations,
 };
-pub use shard::{multi_site_inventory_sharded, multi_site_inventory_sharded_observed, SliceQueue};
+pub use shard::{
+    multi_site_inventory_scheduled, multi_site_inventory_sharded,
+    multi_site_inventory_sharded_observed, SliceQueue,
+};
 
 /// The observability layer (event types, sinks, metrics, JSONL traces),
 /// re-exported so downstream crates need no direct `rfid-obs` dependency.

@@ -8,25 +8,26 @@
 //! This module models that workflow: tags placed on a plane, reading
 //! positions covering the region, an inventory round executed at each
 //! position over the tags in range, and the union taken with duplicates
-//! removed. Beyond the paper's serial sweep it also models *concurrent*
+//! removed. [`multi_site_inventory`] is that plain serial loop. Beyond
+//! the paper's serial sweep the module also models *concurrent*
 //! multi-reader operation: an [`InterferenceGraph`] captures which
 //! positions cannot read simultaneously (overlapping coverage disks, or
-//! reader-to-reader interference within a configurable radius), a greedy
-//! graph coloring partitions the positions into conflict-free time slices
-//! ([`Schedule`]), and [`multi_site_inventory_scheduled`] runs each
-//! slice's sites concurrently — the slice's wall-clock cost is the
-//! *maximum* site air time instead of the sum.
+//! reader-to-reader interference within a configurable radius), and a
+//! greedy graph coloring partitions the positions into conflict-free time
+//! slices ([`Schedule`]) whose wall-clock cost is the *maximum* site air
+//! time instead of the sum.
 //!
-//! Concurrency here is an accounting model, not a change to the physics:
-//! every site's inventory runs on the same per-site derived RNG stream as
-//! the serial path, so each per-site report is bit-identical between
-//! [`multi_site_inventory`] and [`multi_site_inventory_scheduled`]; only
-//! the wall-clock roll-up differs. The `tests/multisite_schedule.rs`
-//! oracle suite holds the scheduler to that contract.
+//! Scheduled sweeps have one implementation, the sharded core in
+//! [`crate::shard`]; [`crate::multi_site_inventory_scheduled`] is that
+//! core on one worker. Every site's inventory runs on the same per-site
+//! derived RNG stream (`run_site`) whichever path executes it, so each
+//! per-site report is bit-identical between the serial loop and the
+//! scheduled sweep; only the wall-clock roll-up differs. The serial loop
+//! is the reference the `tests/multisite_schedule.rs` and
+//! `tests/multisite_shard.rs` oracle suites hold the core to.
 
 use crate::{run_inventory, AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
 use rand::Rng;
-use rfid_obs::{EventSink, NoopSink, ScheduleEvent};
 use rfid_types::TagId;
 use std::collections::HashSet;
 
@@ -442,11 +443,14 @@ impl MultiSiteReport {
 }
 
 /// Runs one inventory round at every position, serially, and merges the
-/// results.
+/// results — the paper's §II-A model, and the reference every scheduled
+/// sweep is tested against.
 ///
 /// Each stop reads the tags in range — including tags already read at a
 /// previous stop, which re-participate (a tag has no memory across
-/// rounds) and are discarded as duplicates by the back office.
+/// rounds) and are discarded as duplicates by the back office. The sweep
+/// pays every site's air time in sequence; the report's `slices` and
+/// `schedule` stay empty.
 ///
 /// # Errors
 ///
@@ -458,92 +462,27 @@ pub fn multi_site_inventory<P: AntiCollisionProtocol + ?Sized>(
     range: f64,
     config: &SimConfig,
 ) -> Result<MultiSiteReport, SimError> {
-    sweep(
-        protocol,
-        deployment,
-        positions,
-        range,
-        config,
-        None,
-        &mut NoopSink,
-    )
-}
-
-/// Runs the sweep under a conflict-free concurrent schedule.
-///
-/// The interference graph over `positions` (coverage overlap below
-/// `2·range`, or separation within `interference_radius` — see
-/// [`InterferenceGraph`]) is greedily colored into time slices; each
-/// slice's sites read concurrently, so the slice costs its *slowest* site
-/// rather than the sum. Per-site RNG streams are derived from the site
-/// index exactly as in [`multi_site_inventory`], so every per-site report
-/// — and therefore `unique_tags`, `cross_site_duplicates` and `uncovered`
-/// — is bit-identical to the serial sweep; only the wall-clock roll-up
-/// ([`MultiSiteReport::total_elapsed_us`], [`MultiSiteReport::slices`],
-/// [`MultiSiteReport::schedule`]) differs.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any site produces.
-pub fn multi_site_inventory_scheduled<P: AntiCollisionProtocol + ?Sized>(
-    protocol: &P,
-    deployment: &Deployment,
-    positions: &[(f64, f64)],
-    range: f64,
-    interference_radius: f64,
-    config: &SimConfig,
-) -> Result<MultiSiteReport, SimError> {
-    multi_site_inventory_scheduled_observed(
-        protocol,
-        deployment,
-        positions,
-        range,
-        interference_radius,
-        config,
-        &mut NoopSink,
-    )
-}
-
-/// [`multi_site_inventory_scheduled`] with an [`EventSink`] attached: one
-/// [`ScheduleEvent`] is emitted per completed time slice (slice index,
-/// concurrent site count, wall vs serial air time). Sinks are
-/// observation-only, so the returned report is identical to the unobserved
-/// call's.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any site produces.
-pub fn multi_site_inventory_scheduled_observed<P, S>(
-    protocol: &P,
-    deployment: &Deployment,
-    positions: &[(f64, f64)],
-    range: f64,
-    interference_radius: f64,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<MultiSiteReport, SimError>
-where
-    P: AntiCollisionProtocol + ?Sized,
-    S: EventSink,
-{
-    let graph = InterferenceGraph::build(positions, range, interference_radius);
-    let schedule = Schedule::greedy(&graph);
-    sweep(
-        protocol,
-        deployment,
-        positions,
-        range,
-        config,
-        Some(schedule),
-        sink,
-    )
+    let reports = (0..positions.len())
+        .map(|site| run_site(protocol, deployment, positions, range, config, site))
+        .collect::<Result<Vec<_>, _>>()?;
+    let total_elapsed_us = reports.iter().fold(0.0, |total, r| total + r.elapsed_us);
+    let merged = merge_site_reports(deployment, reports);
+    Ok(MultiSiteReport {
+        per_site: merged.per_site,
+        unique_tags: merged.unique_tags,
+        cross_site_duplicates: merged.cross_site_duplicates,
+        uncovered: merged.uncovered,
+        total_elapsed_us,
+        slices: Vec::new(),
+        schedule: Vec::new(),
+    })
 }
 
 /// Runs the inventory of one site exactly as every sweep entry point
 /// must: the tags in range of the site's position, under a config whose
 /// seed is derived from the site *index*. The derivation depends only on
 /// `(config.seed(), site)`, so per-site reports are independent of which
-/// path (serial, scheduled, sharded) or worker executes them.
+/// path (the serial loop or the sharded core) or worker executes them.
 pub(crate) fn run_site<P: AntiCollisionProtocol + ?Sized>(
     protocol: &P,
     deployment: &Deployment,
@@ -560,7 +499,7 @@ pub(crate) fn run_site<P: AntiCollisionProtocol + ?Sized>(
     run_inventory(protocol, &in_range, &site_config)
 }
 
-/// The site-order merge shared by every sweep path.
+/// The site-order merge shared by the serial loop and the sharded core.
 pub(crate) struct MergedSites {
     pub per_site: Vec<InventoryReport>,
     pub unique_tags: usize,
@@ -601,81 +540,10 @@ pub(crate) fn merge_site_reports(
     }
 }
 
-/// Shared sweep core. `schedule: None` is the serial path: every site is
-/// its own implicit slice and pays its full air time. With a schedule,
-/// sites run slice by slice and each slice pays its maximum.
-fn sweep<P, S>(
-    protocol: &P,
-    deployment: &Deployment,
-    positions: &[(f64, f64)],
-    range: f64,
-    config: &SimConfig,
-    schedule: Option<Schedule>,
-    sink: &mut S,
-) -> Result<MultiSiteReport, SimError>
-where
-    P: AntiCollisionProtocol + ?Sized,
-    S: EventSink,
-{
-    let mut reports: Vec<Option<InventoryReport>> = (0..positions.len()).map(|_| None).collect();
-    let mut total_elapsed_us = 0.0;
-    let mut slice_timings = Vec::new();
-    match &schedule {
-        None => {
-            for (site, slot) in reports.iter_mut().enumerate() {
-                let report = run_site(protocol, deployment, positions, range, config, site)?;
-                total_elapsed_us += report.elapsed_us;
-                *slot = Some(report);
-            }
-        }
-        Some(schedule) => {
-            for (slice_index, slice) in schedule.slices.iter().enumerate() {
-                let mut wall = 0.0f64;
-                let mut serial = 0.0f64;
-                for &site in slice {
-                    let report = run_site(protocol, deployment, positions, range, config, site)?;
-                    wall = wall.max(report.elapsed_us);
-                    serial += report.elapsed_us;
-                    reports[site] = Some(report);
-                }
-                total_elapsed_us += wall;
-                slice_timings.push(SliceTiming {
-                    sites: slice.len(),
-                    wall_elapsed_us: wall,
-                    serial_elapsed_us: serial,
-                });
-                if S::ENABLED {
-                    sink.schedule(&ScheduleEvent {
-                        slice: slice_index as u32,
-                        sites: slice.len() as u32,
-                        wall_elapsed_us: wall,
-                        serial_elapsed_us: serial,
-                    });
-                }
-            }
-        }
-    }
-
-    let reports = reports
-        .into_iter()
-        .map(|report| report.expect("every site is scheduled exactly once"))
-        .collect();
-    let merged = merge_site_reports(deployment, reports);
-    Ok(MultiSiteReport {
-        per_site: merged.per_site,
-        unique_tags: merged.unique_tags,
-        cross_site_duplicates: merged.cross_site_duplicates,
-        uncovered: merged.uncovered,
-        total_elapsed_us,
-        slices: slice_timings,
-        schedule: schedule.map(|s| s.slices).unwrap_or_default(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{seeded_rng, InventoryReport, SimConfig};
+    use crate::{multi_site_inventory_scheduled, seeded_rng, InventoryReport, SimConfig};
     use rand::rngs::StdRng;
     use rfid_types::SlotClass;
 

@@ -1,31 +1,34 @@
-//! Sharded multi-site execution: real threads, work stealing, identical
+//! The scheduled multi-site sweep: real threads, work stealing, identical
 //! reports.
 //!
-//! [`crate::multi_site_inventory_scheduled`] models concurrency as
-//! *accounting* — sites still execute one after another on the calling
-//! thread, only the wall-clock roll-up pretends they overlapped. That is
-//! the right tool for studying the schedule itself, but a fleet-scale
-//! inventory service (`repro serve`) needs the work actually spread over a
-//! worker pool: thousands of sites, millions of tags, many requests in
-//! flight.
+//! This module is the one implementation of a scheduled sweep. It colors
+//! the [`InterferenceGraph`] over the reading positions into a greedy
+//! [`Schedule`], runs the sites on `workers` OS threads with site-level
+//! work stealing, and rolls the per-site air times up into the slice
+//! wall-clock accounting. [`multi_site_inventory_scheduled`] is the same
+//! sweep on one worker — the model for studying the schedule itself —
+//! while a fleet-scale inventory service (`repro serve`) spreads the same
+//! work over a pool: thousands of sites, millions of tags, many requests
+//! in flight.
 //!
-//! [`multi_site_inventory_sharded`] runs the same greedy
-//! [`InterferenceGraph`] schedule on `workers` OS threads with site-level
-//! work stealing: each worker starts on its own "home" time slice, and
-//! once that slice has no unstarted sites left it steals sites from the
-//! busiest remaining slices ([`SliceQueue`]). Stealing is safe because a
-//! site's RNG stream is derived from `(config.seed(), site_index)` alone
-//! (see `multisite::run_site`) — *which* worker executes a site, and in
-//! what order, cannot change its report. The determinism contract is
-//! therefore strict and tested: every field of the returned
-//! [`MultiSiteReport`] is bit-identical to the scheduled path's, including
-//! the floating-point wall-clock roll-up, which is recomputed in slice
-//! order after the join rather than in completion order.
+//! Each worker starts on its own "home" time slice, and once that slice
+//! has no unstarted sites left it steals sites from the busiest remaining
+//! slices ([`SliceQueue`]). Stealing is safe because a site's RNG stream
+//! is derived from `(config.seed(), site_index)` alone (see
+//! `multisite::run_site`) — *which* worker executes a site, and in what
+//! order, cannot change its report. The determinism contract is therefore
+//! strict and tested: every field of the returned [`MultiSiteReport`] is
+//! bit-identical across worker counts, including the floating-point
+//! wall-clock roll-up, which is computed in slice order after the join
+//! rather than in completion order; and the per-site reports, unique,
+//! duplicate and uncovered counts equal those of the serial loop
+//! [`crate::multi_site_inventory`], the reference the tests compare
+//! against.
 //!
 //! Observability: a [`SiteEvent`] is emitted per site as it completes
 //! (live, completion order — this is what a streaming `serve` client
-//! watches), and the usual [`ScheduleEvent`]s are emitted after the join
-//! in slice order, exactly as the scheduled path would.
+//! watches), and one [`ScheduleEvent`] per time slice after the join, in
+//! slice order.
 
 use crate::multisite::{merge_site_reports, run_site};
 use crate::{
@@ -95,15 +98,53 @@ impl SliceQueue {
     }
 }
 
+/// Runs the sweep under a conflict-free concurrent schedule, on one
+/// worker.
+///
+/// The interference graph over `positions` (coverage overlap below
+/// `2·range`, or separation within `interference_radius` — see
+/// [`InterferenceGraph`]) is greedily colored into time slices; each
+/// slice's sites read concurrently, so the slice costs its *slowest* site
+/// rather than the sum. Per-site RNG streams are derived from the site
+/// index exactly as in [`crate::multi_site_inventory`], so every per-site
+/// report — and therefore `unique_tags`, `cross_site_duplicates` and
+/// `uncovered` — is bit-identical to the serial sweep; only the
+/// wall-clock roll-up ([`MultiSiteReport::total_elapsed_us`],
+/// [`MultiSiteReport::slices`], [`MultiSiteReport::schedule`]) differs.
+///
+/// This is [`multi_site_inventory_sharded`] with `workers = 1`.
+///
+/// # Errors
+///
+/// Same as [`multi_site_inventory_sharded`].
+pub fn multi_site_inventory_scheduled<P: AntiCollisionProtocol + Sync + ?Sized>(
+    protocol: &P,
+    deployment: &Deployment,
+    positions: &[(f64, f64)],
+    range: f64,
+    interference_radius: f64,
+    config: &SimConfig,
+) -> Result<MultiSiteReport, SimError> {
+    multi_site_inventory_sharded(
+        protocol,
+        deployment,
+        positions,
+        range,
+        interference_radius,
+        config,
+        1,
+    )
+}
+
 /// Runs a multi-site sweep sharded over `workers` threads with site-level
-/// work stealing. The returned report is bit-identical to
-/// [`crate::multi_site_inventory_scheduled`] with the same arguments.
+/// work stealing. The returned report is bit-identical for every worker
+/// count.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for `workers == 0` or an
 /// invalid `config`; otherwise propagates the first failing site's error
-/// in schedule (slice) order — the same error the scheduled path reports.
+/// in schedule (slice) order, whichever worker ran it.
 pub fn multi_site_inventory_sharded<P: AntiCollisionProtocol + Sync + ?Sized>(
     protocol: &P,
     deployment: &Deployment,
@@ -128,7 +169,9 @@ pub fn multi_site_inventory_sharded<P: AntiCollisionProtocol + Sync + ?Sized>(
 /// [`multi_site_inventory_sharded`] with an [`EventSink`] attached: one
 /// [`SiteEvent`] per completed site (emitted live, in completion order)
 /// and one [`ScheduleEvent`] per time slice (emitted after the join, in
-/// slice order, identical to the scheduled path's events).
+/// slice order: slice index, concurrent site count, wall vs serial air
+/// time). Sinks are observation-only, so the returned report is identical
+/// to the unobserved call's.
 ///
 /// The sink runs on the calling thread; workers hand finished reports
 /// back over a channel, so `S` needs no synchronization.
@@ -203,7 +246,7 @@ where
 
     // Every site ran (workers drain the queue even on errors), so error
     // selection is deterministic: the first failing site in slice order,
-    // exactly the error the scheduled path would have stopped at.
+    // whatever the worker count.
     for slice in &schedule.slices {
         for &site in slice {
             if let Some(Err(_)) = &results[site] {
@@ -220,9 +263,9 @@ where
         })
         .collect();
 
-    // Recompute the wall-clock roll-up in slice order — same floating-
-    // point summation order as the scheduled path, so `total_elapsed_us`
-    // is bit-identical, not merely close.
+    // The wall-clock roll-up runs in slice order, not completion order,
+    // so the floating-point sums — and `total_elapsed_us` — are
+    // bit-identical for every worker count, not merely close.
     let mut total_elapsed_us = 0.0;
     let mut slice_timings = Vec::with_capacity(schedule.slices.len());
     for (slice_index, slice) in schedule.slices.iter().enumerate() {
@@ -264,7 +307,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{multi_site_inventory_scheduled, seeded_rng};
+    use crate::seeded_rng;
     use rand::rngs::StdRng;
     use rfid_types::{SlotClass, TagId};
 

@@ -1,8 +1,10 @@
 //! Conflict/coverage oracle for the concurrent multi-reader scheduler.
 //!
-//! The scheduled sweep ([`multi_site_inventory_scheduled`]) makes three
-//! claims this suite holds it to, each checked against an *independent*
-//! brute-force reimplementation rather than the scheduler's own data
+//! The scheduled sweep — one core, [`multi_site_inventory_sharded`], of
+//! which [`multi_site_inventory_scheduled`] is the one-worker call — makes
+//! three claims this suite holds it to, each checked against an
+//! *independent* reference (the serial loop [`multi_site_inventory`], a
+//! brute-force conflict predicate) rather than the scheduler's own data
 //! structures:
 //!
 //! 1. **Conflict-freedom** — every emitted time slice is an independent
@@ -11,16 +13,22 @@
 //!    radius), and every site is scheduled exactly once.
 //! 2. **Coverage equivalence** — `unique_tags`, `uncovered`,
 //!    `cross_site_duplicates` and every per-site report are bit-identical
-//!    to the serial sweep, for arbitrary deployments and radii.
+//!    to the serial sweep, for arbitrary deployments, radii and worker
+//!    counts, and the wall-clock roll-up equals one recomputed from the
+//!    schedule.
 //! 3. **Determinism** — the same inputs always produce the same schedule
 //!    and the same report.
+
+mod common;
 
 use anc_rfid::prelude::*;
 use anc_rfid::sim::obs::{jsonl::replay, JsonlSink, MetricsSink};
 use anc_rfid::sim::{
-    multi_site_inventory, multi_site_inventory_scheduled, multi_site_inventory_scheduled_observed,
-    AntiCollisionProtocol, Deployment, InterferenceGraph, MultiSiteReport, Schedule, SimError,
+    multi_site_inventory, multi_site_inventory_scheduled, multi_site_inventory_sharded,
+    multi_site_inventory_sharded_observed, AntiCollisionProtocol, Deployment, InterferenceGraph,
+    MultiSiteReport, Schedule, SimError,
 };
+use common::{assert_matches_serial_reference, WORKERS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
@@ -94,8 +102,10 @@ fn small_deployment(seed: u64, n: usize, width: f64, height: f64) -> Deployment 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scheduled ≡ serial on everything except the wall-clock roll-up, and
-    /// the emitted schedule is conflict-free (brute-force oracle).
+    /// Scheduled ≡ serial on everything except the wall-clock roll-up, at
+    /// every worker count; the roll-up matches one recomputed from the
+    /// schedule, and the emitted schedule is conflict-free (brute-force
+    /// oracle).
     #[test]
     fn scheduled_sweep_equivalent_to_serial(
         n in 0usize..60,
@@ -111,23 +121,22 @@ proptest! {
         let config = SimConfig::default().with_seed(seed ^ 0x5C4E);
         let serial =
             multi_site_inventory(&RollCall, &deployment, &positions, range, &config).unwrap();
-        let scheduled = multi_site_inventory_scheduled(
-            &RollCall, &deployment, &positions, range, radius, &config,
-        )
-        .unwrap();
+        for workers in WORKERS {
+            let scheduled = multi_site_inventory_sharded(
+                &RollCall, &deployment, &positions, range, radius, &config, workers,
+            )
+            .unwrap();
 
-        prop_assert_eq!(scheduled.unique_tags, serial.unique_tags);
-        prop_assert_eq!(scheduled.uncovered, serial.uncovered);
-        prop_assert_eq!(scheduled.cross_site_duplicates, serial.cross_site_duplicates);
-        prop_assert_eq!(&scheduled.per_site, &serial.per_site);
-        prop_assert!(
-            (scheduled.serial_elapsed_us() - serial.total_elapsed_us).abs() < 1e-6,
-            "serial cost must be schedule-invariant"
-        );
-        // Concurrency can only shrink wall-clock time.
-        prop_assert!(scheduled.total_elapsed_us <= serial.total_elapsed_us + 1e-9);
-        prop_assert!(scheduled.speedup_vs_serial() >= 1.0 - 1e-12);
-        assert_schedule_valid(&scheduled, &positions, range, radius);
+            assert_matches_serial_reference(&scheduled, &serial);
+            prop_assert!(
+                (scheduled.serial_elapsed_us() - serial.total_elapsed_us).abs() < 1e-6,
+                "serial cost must be schedule-invariant"
+            );
+            // Concurrency can only shrink wall-clock time.
+            prop_assert!(scheduled.total_elapsed_us <= serial.total_elapsed_us + 1e-9);
+            prop_assert!(scheduled.speedup_vs_serial() >= 1.0 - 1e-12);
+            assert_schedule_valid(&scheduled, &positions, range, radius);
+        }
     }
 
     /// The same inputs always give the same schedule and the same report.
@@ -252,6 +261,7 @@ fn golden_seeds_serial_vs_scheduled_identical() {
                 "seed {seed}"
             );
             assert_eq!(scheduled.per_site, serial.per_site, "seed {seed}");
+            assert_matches_serial_reference(&scheduled, &serial);
             assert_schedule_valid(&scheduled, &positions, 14.0, radius);
             assert!(scheduled.speedup_vs_serial() >= 1.0 - 1e-12);
         }
@@ -476,13 +486,14 @@ fn schedule_events_reach_sinks_and_replay() {
             .unwrap();
 
     let mut metrics_sink = MetricsSink::new();
-    let observed = multi_site_inventory_scheduled_observed(
+    let observed = multi_site_inventory_sharded_observed(
         &RollCall,
         &deployment,
         &positions,
         range,
         radius,
         &config,
+        1,
         &mut metrics_sink,
     )
     .unwrap();
@@ -491,19 +502,21 @@ fn schedule_events_reach_sinks_and_replay() {
     let metrics = metrics_sink.into_metrics();
     assert_eq!(metrics.schedule_slices as usize, observed.slices.len());
     assert_eq!(metrics.scheduled_sites as usize, positions.len());
+    assert_eq!(metrics.sites_completed as usize, positions.len());
     assert_eq!(
         metrics.max_concurrent_sites as usize,
         observed.slices.iter().map(|s| s.sites).max().unwrap()
     );
 
     let mut jsonl = JsonlSink::new(Vec::new());
-    let traced = multi_site_inventory_scheduled_observed(
+    let traced = multi_site_inventory_sharded_observed(
         &RollCall,
         &deployment,
         &positions,
         range,
         radius,
         &config,
+        1,
         &mut jsonl,
     )
     .unwrap();
@@ -512,6 +525,7 @@ fn schedule_events_reach_sinks_and_replay() {
     let summary = replay::summarize(std::io::BufReader::new(bytes.as_slice())).expect("replay");
     assert_eq!(summary.schedule_slices as usize, traced.slices.len());
     assert_eq!(summary.scheduled_sites as usize, positions.len());
+    assert_eq!(summary.sites_completed as usize, positions.len());
     assert!((summary.schedule_wall_us - traced.total_elapsed_us).abs() < 1e-6);
     assert!((summary.schedule_serial_us - traced.serial_elapsed_us()).abs() < 1e-6);
 }

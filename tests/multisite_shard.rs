@@ -1,12 +1,16 @@
-//! Cross-crate determinism contract of the sharded multi-site executor:
-//! real worker threads with site-level work stealing must produce reports
-//! bit-identical to the serial scheduled path, for any geometry, worker
-//! count, and protocol.
+//! Cross-crate determinism contract of the one scheduled sweep core,
+//! [`multi_site_inventory_sharded`]: real worker threads with site-level
+//! work stealing must produce reports bit-identical across worker counts,
+//! and must reproduce the plain serial sweep's per-site reports and dedup
+//! roll-up, for any geometry, worker count, and protocol.
+
+mod common;
 
 use anc_rfid::prelude::*;
 use anc_rfid::sim::{
     multi_site_inventory, multi_site_inventory_scheduled, multi_site_inventory_sharded, Deployment,
 };
+use common::{assert_matches_serial_reference, WORKERS};
 use proptest::prelude::*;
 
 #[test]
@@ -16,9 +20,12 @@ fn sharded_fcat_sweep_is_bit_identical_to_scheduled_path() {
     let positions = deployment.try_grid_positions(20.0).expect("valid grid");
     let config = SimConfig::default().with_seed(77);
     let fcat = Fcat::new(FcatConfig::default().with_lambda(2));
+    let serial = multi_site_inventory(&fcat, &deployment, &positions, 20.0, &config)
+        .expect("serial sweep succeeds");
     let scheduled =
         multi_site_inventory_scheduled(&fcat, &deployment, &positions, 20.0, 30.0, &config)
             .expect("scheduled sweep succeeds");
+    assert_matches_serial_reference(&scheduled, &serial);
     for workers in [1, 2, 3, 7, 16] {
         let sharded = multi_site_inventory_sharded(
             &fcat,
@@ -45,15 +52,21 @@ fn sharded_per_site_reports_match_the_plain_serial_sweep() {
     let fcat = Fcat::new(FcatConfig::default().with_lambda(3));
     let serial = multi_site_inventory(&fcat, &deployment, &positions, 30.0, &config)
         .expect("serial sweep succeeds");
-    let sharded =
-        multi_site_inventory_sharded(&fcat, &deployment, &positions, 30.0, 0.0, &config, 4)
-            .expect("sharded sweep succeeds");
     // Which executor ran a site cannot change its inventory: seeds derive
     // from (config.seed, site index) alone.
-    assert_eq!(sharded.per_site, serial.per_site);
-    assert_eq!(sharded.unique_tags, serial.unique_tags);
-    assert_eq!(sharded.cross_site_duplicates, serial.cross_site_duplicates);
-    assert_eq!(sharded.uncovered, serial.uncovered);
+    for workers in WORKERS {
+        let sharded = multi_site_inventory_sharded(
+            &fcat,
+            &deployment,
+            &positions,
+            30.0,
+            0.0,
+            &config,
+            workers,
+        )
+        .expect("sharded sweep succeeds");
+        assert_matches_serial_reference(&sharded, &serial);
+    }
 }
 
 #[test]
@@ -93,12 +106,15 @@ proptest! {
         let positions = deployment.try_grid_positions(spacing).expect("valid grid");
         let config = SimConfig::default().with_seed(seed ^ 0x5EED);
         let fcat = Fcat::new(FcatConfig::default().with_lambda(2));
+        let serial = multi_site_inventory(&fcat, &deployment, &positions, spacing, &config)
+            .expect("serial sweep succeeds");
         let scheduled = multi_site_inventory_scheduled(
             &fcat, &deployment, &positions, spacing, interference, &config,
         ).expect("scheduled sweep succeeds");
         let sharded = multi_site_inventory_sharded(
             &fcat, &deployment, &positions, spacing, interference, &config, workers,
         ).expect("sharded sweep succeeds");
+        assert_matches_serial_reference(&sharded, &serial);
         prop_assert_eq!(sharded, scheduled);
     }
 }
