@@ -129,7 +129,7 @@ fn bench_estimator(c: &mut Criterion) {
     });
 }
 
-fn bench_energy_receiver(c: &mut Criterion) {
+fn bench_energy_estimator(c: &mut Criterion) {
     let cfg = MskConfig::default();
     let model = ChannelModel::default();
     let mut rng = seeded_rng(2);
@@ -138,9 +138,6 @@ fn bench_energy_receiver(c: &mut Criterion) {
     let mixed = anc::transmit_mixed(&[t1, t2], &cfg, &model, &mut rng);
     c.bench_function("energy_estimate_two_amplitudes", |b| {
         b.iter(|| anc::estimate_two_amplitudes(black_box(&mixed)));
-    });
-    c.bench_function("energy_resolve_two", |b| {
-        b.iter(|| rfid_signal::resolve_two_energy(black_box(&mixed), t1, &cfg));
     });
 }
 
@@ -158,7 +155,7 @@ criterion_group!(
     bench_msk,
     bench_signal_kernels,
     bench_anc_resolve,
-    bench_energy_receiver,
+    bench_energy_estimator,
     bench_binomial_sampling,
     bench_record_cascade,
     bench_estimator

@@ -122,7 +122,7 @@ impl Default for ServeOptions {
 /// | `range`               | number | `= spacing`    | reader coverage radius, meters |
 /// | `interference_radius` | number | `0.0`          | reader-to-reader conflict radius |
 /// | `workers`             | int    | server default | sharded worker pool size |
-/// | `threads`             | int    | `1`            | per-site peeling threads ([`SimConfig::with_threads`]) |
+/// | `threads`             | int    | `1`            | accepted, no effect ([`SimConfig::with_threads`]) |
 /// | `max_slots`           | int    | sim default    | per-site runaway cap |
 /// | `hash_bits`           | int    | `16`           | advertisement hash width |
 /// | `queue_capacity`      | int    | server default | stream backpressure bound (lines) |
@@ -578,12 +578,6 @@ impl Server {
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown without blocking: stops accepting and signals

@@ -262,18 +262,6 @@ impl Default for CompressedSensing {
 }
 
 impl CompressedSensing {
-    /// This model with a different per-slot measurement budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measurements == 0`.
-    #[must_use]
-    pub fn with_measurements(mut self, measurements: u32) -> Self {
-        assert!(measurements > 0, "measurement budget must be positive");
-        self.measurements = measurements;
-        self
-    }
-
     /// This model at a different channel SNR (dB).
     #[must_use]
     pub fn with_snr_db(mut self, snr_db: f64) -> Self {
@@ -371,13 +359,6 @@ pub enum BackendModel {
 }
 
 impl BackendModel {
-    /// Whether this is the default ANC backend (protocol names stay
-    /// unsuffixed and ω derives from λ only in this case).
-    #[must_use]
-    pub fn is_anc(&self) -> bool {
-        matches!(self, BackendModel::Anc)
-    }
-
     /// Suffix appended to protocol names for non-ANC backends
     /// (`"mpr4"`, `"cs"`), `None` for ANC.
     #[must_use]
@@ -500,7 +481,6 @@ mod tests {
         }
         assert_eq!(Anc.omega_override(), None);
         assert_eq!(BackendModel::default(), BackendModel::Anc);
-        assert!(BackendModel::Anc.is_anc());
         assert_eq!(BackendModel::Anc.name_suffix(), None);
     }
 

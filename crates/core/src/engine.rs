@@ -177,7 +177,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
             Fidelity::SignalLevel(sig) => CollisionRecordStore::signal_level(sig.msk.clone()),
         };
         records.set_attempt_logging(S::ENABLED);
-        records.set_threads(config.threads());
         records.reserve_tags(tags.len());
         let mut active = Vec::with_capacity(tags.len());
         let mut active_states = Vec::with_capacity(tags.len());

@@ -130,18 +130,6 @@ impl ScatConfig {
         self
     }
 
-    /// Consecutive empty slots that trigger the `p = 1` termination probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streak == 0`.
-    #[must_use]
-    pub fn with_empty_streak(mut self, streak: u32) -> Self {
-        assert!(streak > 0, "empty streak must be positive");
-        self.empty_streak = streak;
-        self
-    }
-
     /// Configured λ.
     #[must_use]
     pub fn lambda(&self) -> u32 {

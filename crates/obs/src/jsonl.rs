@@ -324,13 +324,6 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Whether a sticky I/O error is pending (it will be returned by
-    /// [`JsonlSink::finish`]).
-    #[must_use]
-    pub fn has_error(&self) -> bool {
-        self.error.is_some()
-    }
-
     /// Flushes and returns the underlying writer, or the first I/O error
     /// encountered while tracing.
     ///
@@ -1083,7 +1076,6 @@ mod tests {
             lambda: 2,
             omega: 1.5,
         });
-        assert!(sink.has_error());
         let lines_after_error = sink.lines();
         sink.lambda(&LambdaEvent {
             slot: 1,

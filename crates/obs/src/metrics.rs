@@ -411,12 +411,6 @@ impl Metrics {
         self.estimator_updates += other.estimator_updates;
         self.final_estimate_sum += other.final_estimate_sum;
     }
-
-    /// Renders a human-readable summary table.
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        format!("{self}")
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -838,7 +832,7 @@ mod tests {
         assert_eq!(merged.runs, 2);
         assert_eq!(merged.records_created, 2);
         assert!((merged.final_estimate_mean() - 123.0).abs() < 1e-12);
-        let table = merged.render_table();
+        let table = merged.to_string();
         assert!(table.contains("records created"));
         assert!(table.contains("resolution latency"));
     }
@@ -895,7 +889,7 @@ mod tests {
         merged.merge(&m);
         assert_eq!(merged.lambda_current, 3);
         assert_eq!(merged.lambda_adjustments, 2);
-        let table = merged.render_table();
+        let table = merged.to_string();
         assert!(table.contains("lambda adjustments"));
     }
 
@@ -920,7 +914,7 @@ mod tests {
         assert_eq!(merged.schedule_slices, 6);
         assert_eq!(merged.scheduled_sites, 18);
         assert_eq!(merged.max_concurrent_sites, 5);
-        assert!(merged.render_table().contains("schedule slices"));
+        assert!(merged.to_string().contains("schedule slices"));
     }
 
     #[test]
@@ -946,7 +940,7 @@ mod tests {
         merged.merge(&m);
         assert_eq!(merged.slots_recovered, 4);
         assert_eq!(merged.replies_recovered, 10);
-        assert!(merged.render_table().contains("backend slots recovered"));
+        assert!(merged.to_string().contains("backend slots recovered"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! probability at the beginning of each slot and each unread tag [replies]
 //! with this probability").
 
-use crate::aloha::InitialEstimate;
 use rand::rngs::StdRng;
 use rfid_sim::sampling::{pick_distinct_indices, sample_binomial};
 use rfid_sim::{AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
@@ -25,23 +24,13 @@ use rfid_types::{SlotClass, TagId};
 /// # Ok::<(), rfid_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct SlottedAloha {
-    initial: InitialEstimate,
-}
+pub struct SlottedAloha;
 
 impl SlottedAloha {
     /// Creates the protocol with an oracle initial population estimate.
     #[must_use]
     pub fn new() -> Self {
-        SlottedAloha {
-            initial: InitialEstimate::Exact,
-        }
-    }
-
-    /// Creates the protocol with the given bootstrap estimate.
-    #[must_use]
-    pub fn with_initial_estimate(initial: InitialEstimate) -> Self {
-        SlottedAloha { initial }
+        SlottedAloha
     }
 }
 
@@ -67,7 +56,7 @@ impl AntiCollisionProtocol for SlottedAloha {
         // optimal operating point the expected drift matches the true
         // backlog's, so the estimate self-corrects from any bootstrap.
         const COLLISION_INCREMENT: f64 = 1.0 / (std::f64::consts::E - 2.0);
-        let mut backlog = self.initial.resolve(tags.len());
+        let mut backlog = tags.len() as f64;
         let mut slots: u64 = 0;
 
         while !active.is_empty() {
@@ -171,14 +160,6 @@ mod tests {
         let report = run_inventory(&SlottedAloha::new(), &tags, &config).unwrap();
         assert_eq!(report.identified, 150);
         assert!(report.duplicates_discarded > 0 || report.slots.collision > 0);
-    }
-
-    #[test]
-    fn bad_bootstrap_still_completes() {
-        let tags = population::uniform(&mut seeded_rng(4), 200);
-        let proto = SlottedAloha::with_initial_estimate(InitialEstimate::Fixed(1));
-        let report = run_inventory(&proto, &tags, &SimConfig::default()).unwrap();
-        assert_eq!(report.identified, 200);
     }
 
     #[test]

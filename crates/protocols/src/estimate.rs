@@ -39,11 +39,8 @@ pub struct PreStepOutcome {
 /// Probabilistic-frame population estimator (pre-step for SCAT).
 ///
 /// This is the lightweight per-slot-Bernoulli probe wired into
-/// [`InitialPopulation::PreStep`]; the faithful framed Kodialam-Nandagopal
-/// schemes (each tag answers in at most one slot per frame, with ZE/CE
-/// inversion and variance-weighted combination) live in
-/// [`crate::kn_estimator`] — the two model *different* probing processes
-/// and are not interchangeable.
+/// [`InitialPopulation::PreStep`]. It is not the framed Kodialam-Nandagopal
+/// scheme, in which each tag answers in at most one slot per frame.
 ///
 /// [`InitialPopulation::PreStep`]: https://docs.rs/rfid-anc
 ///

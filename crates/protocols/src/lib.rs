@@ -15,15 +15,15 @@
 //! | [`QueryTree`] | tree, memoryless (Law-Lee-Siu \[28\]) | §VII background |
 //!
 //! The [`estimate`] module carries the frame-based tag-count estimators the
-//! ALOHA protocols rely on, and the Kodialam-Nandagopal-style \[24\]
-//! pre-step estimator SCAT can use to bootstrap its report probability.
+//! ALOHA protocols rely on, and the probabilistic-frame pre-step estimator
+//! (after Kodialam-Nandagopal \[24\]) SCAT can use to bootstrap its report
+//! probability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aloha;
 pub mod estimate;
-pub mod kn_estimator;
 pub mod tree;
 
 pub use aloha::{
@@ -31,5 +31,4 @@ pub use aloha::{
     Gen2QConfig, InitialEstimate, SlottedAloha,
 };
 pub use estimate::{schoute_backlog, PreStepEstimator, PreStepOutcome};
-pub use kn_estimator::{KnEstimator, KnMethod, KnOutcome};
 pub use tree::{Abs, AbsSession, Aqs, AqsSession, QueryTree};

@@ -242,8 +242,7 @@ const MAX_CACHED_REFERENCES: usize = 256;
 /// sample buffer, fixed-length spans. A frontier of cascade resolutions
 /// re-uses the same few known IDs across many records and hops; caching
 /// their modulated references turns the per-attempt basis construction
-/// into an index lookup. Lookups on an immutable cache are thread-safe,
-/// which is what lets scoped-thread cascade workers share one cache.
+/// into an index lookup.
 #[derive(Debug)]
 pub struct ReferenceCache {
     span: usize,
@@ -271,15 +270,14 @@ impl ReferenceCache {
     }
 
     /// Drops every cached reference, keeping capacity.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.ids.clear();
         self.data.clear();
         self.self_inner.clear();
     }
 
     /// The span index of `id` if it is cached.
-    #[must_use]
-    pub fn index_of(&self, id: TagId) -> Option<usize> {
+    fn index_of(&self, id: TagId) -> Option<usize> {
         self.ids.iter().position(|&k| k == id)
     }
 
@@ -305,23 +303,22 @@ impl ReferenceCache {
         idx
     }
 
-    /// Like [`Self::ensure`], but never evicts: returns `false` (leaving
-    /// the cache untouched) when `id` is absent and the cache is full.
-    ///
-    /// A batched peeling pass warms *all* of a batch's references before
-    /// fanning the pure subtraction out to workers; `ensure`'s clear-on-full
-    /// policy could drop references warmed moments earlier in the same
-    /// pass, so the batch path probes with this, clears once on overflow,
-    /// and re-warms into the then-empty cache.
-    pub fn try_ensure(&mut self, id: TagId) -> bool {
-        if self.index_of(id).is_some() {
-            return true;
+    /// [`Self::ensure`] for every ID of one resolution attempt, leaving all
+    /// of them cached. `ensure` resets a full cache, which would drop an ID
+    /// warmed earlier in the same call; after a reset the IDs are warmed
+    /// again into the fresh cache.
+    pub fn ensure_all(&mut self, ids: &[TagId]) {
+        let mut reset = false;
+        for &id in ids {
+            let before = self.ids.len();
+            self.ensure(id);
+            reset |= self.ids.len() < before;
         }
-        if self.ids.len() >= MAX_CACHED_REFERENCES {
-            return false;
+        if reset {
+            for &id in ids {
+                self.ensure(id);
+            }
         }
-        self.ensure(id);
-        true
     }
 
     /// The cached reference waveform at span index `idx`.
@@ -347,8 +344,8 @@ impl ReferenceCache {
 
 /// Reusable working memory for one ANC resolution attempt: the residual
 /// buffer, gain fit scratch, demodulated bits, and (for cascaded hops) the
-/// noise-degraded mixture copy. One instance per worker thread keeps the
-/// whole subtract→demodulate→CRC chain allocation-free in steady state.
+/// noise-degraded mixture copy. Reusing one instance keeps the whole
+/// subtract→demodulate→CRC chain allocation-free in steady state.
 #[derive(Debug, Default)]
 pub struct ResolveScratch {
     pub(crate) refs: Vec<usize>,
@@ -363,10 +360,9 @@ pub struct ResolveScratch {
 /// leaves the residual in `scratch.residual` (cleared first).
 ///
 /// Every reference must already be in `cache` (see
-/// [`ReferenceCache::ensure`]); the cache is only read, so parallel
-/// workers can share it. Performs the identical gain fit and the identical
-/// per-element subtraction arithmetic as [`subtract_known`], so the
-/// residual is bit-identical.
+/// [`ReferenceCache::ensure`]); the cache is only read. Performs the
+/// identical gain fit and the identical per-element subtraction arithmetic
+/// as [`subtract_known`], so the residual is bit-identical.
 ///
 /// # Errors
 ///
@@ -375,7 +371,7 @@ pub struct ResolveScratch {
 /// # Panics
 ///
 /// Panics if a `known` ID is missing from the cache.
-pub fn subtract_known_prepared(
+pub(crate) fn subtract_known_prepared(
     samples: &[Complex],
     known: &[TagId],
     cache: &ReferenceCache,
@@ -806,6 +802,21 @@ mod tests {
                 scratch.residual,
                 subtract_known(&mixed, &ids[..k], &cfg()).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn ensure_all_keeps_every_id_across_a_reset() {
+        // One short of full: the first new ID fills the cache, and the
+        // second resets it, which would drop the first.
+        let mut cache = ReferenceCache::new(&cfg());
+        for i in 0..(MAX_CACHED_REFERENCES as u128 - 1) {
+            cache.ensure(TagId::from_payload(10_000 + i));
+        }
+        let ids = [TagId::from_payload(1), TagId::from_payload(2)];
+        cache.ensure_all(&ids);
+        for id in ids {
+            assert!(cache.index_of(id).is_some(), "{id} evicted");
         }
     }
 

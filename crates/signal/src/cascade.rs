@@ -106,9 +106,7 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
     cache: &mut ReferenceCache,
     scratch: &mut ResolveScratch,
 ) -> ResolutionAttempt {
-    for &id in known {
-        cache.ensure(id);
-    }
+    cache.ensure_all(known);
     if extra_noise_std > 0.0 {
         let mut degraded = std::mem::take(&mut scratch.degraded);
         degrade_into(mixed, extra_noise_std, rng, &mut degraded);
@@ -139,7 +137,7 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
 /// Copies `mixed` into `out` and injects Gaussian noise of standard
 /// deviation `extra_noise_std` per real dimension — the RNG-consuming half
 /// of a cascaded attempt, split out so callers can hand it a *per-record
-/// counter stream* and run it inside the parallel evaluation phase. One
+/// counter stream*. One
 /// polar normal pair covers each complex sample (`re ← z0`, `im ← z1`);
 /// realizations depend only on the stream handed in, never on what other
 /// records drew.
@@ -161,14 +159,12 @@ pub fn degrade_into<R: Rng + ?Sized>(
 
 /// The pure (RNG-free) half of a cascaded resolution attempt: subtract the
 /// `known` components of the already-degraded `samples` with pre-cached
-/// references, score the residual SNR, and CRC-decode. The cache is only
-/// read, so independent workers may run this concurrently; results are
-/// bit-identical to [`resolve_cascaded`] on the same `samples`.
+/// references, score the residual SNR, and CRC-decode.
 ///
 /// # Panics
 ///
 /// Panics if a `known` ID is missing from the cache.
-pub fn resolve_prepared(
+fn resolve_prepared(
     samples: &[Complex],
     known: &[TagId],
     cfg: &MskConfig,

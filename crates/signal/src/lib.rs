@@ -60,7 +60,6 @@ pub mod anc;
 pub mod cascade;
 pub mod channel;
 pub mod complex;
-pub mod energy_resolve;
 pub mod kernels;
 pub mod linalg;
 pub mod msk;
@@ -70,12 +69,10 @@ pub use anc::{
     MixScratch, ReferenceCache, ResolveScratch,
 };
 pub use cascade::{
-    cascade_noise_std, degrade_into, resolve_cascaded, resolve_cascaded_cached, resolve_prepared,
-    ResolutionAttempt,
+    cascade_noise_std, degrade_into, resolve_cascaded, resolve_cascaded_cached, ResolutionAttempt,
 };
 pub use channel::{
     fill_standard_normal_into, standard_normal, standard_normal_pair, ChannelModel, ChannelParams,
 };
 pub use complex::Complex;
-pub use energy_resolve::resolve_two_energy;
 pub use msk::{MskConfig, MskDemodulator, MskModulator};

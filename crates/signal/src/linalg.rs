@@ -163,7 +163,7 @@ pub fn least_squares_gains(
     solve(&gram, &proj)
 }
 
-/// Reusable working memory for [`least_squares_gains_with`]: the `k×k`
+/// Reusable working memory for [`least_squares_gains_by`]: the `k×k`
 /// Gram matrix (row-major flat) and the projection vector. Systems are
 /// tiny, so this exists purely to keep the per-attempt hot path
 /// allocation-free, not to save space.
@@ -173,36 +173,13 @@ pub struct LsScratch {
     proj: Vec<Complex>,
 }
 
-/// Allocation-free [`least_squares_gains`] over borrowed basis slices:
-/// writes the fitted gains into `gains` (cleared first), reusing
-/// `scratch`'s capacity.
-///
-/// Forms the identical Gram/projection inner products in the identical
-/// order and runs the identical elimination sequence as the allocating
-/// variant, so the gains are bit-identical.
-///
-/// # Errors
-///
-/// Same contract as [`least_squares_gains`].
-pub fn least_squares_gains_with(
-    basis: &[&[Complex]],
-    y: &[Complex],
-    scratch: &mut LsScratch,
-    gains: &mut Vec<Complex>,
-) -> Result<(), SolveError> {
-    least_squares_gains_by(
-        basis.len(),
-        |j| basis[j],
-        |j| crate::complex::inner_product(basis[j], basis[j]),
-        y,
-        scratch,
-        gains,
-    )
-}
-
-/// [`least_squares_gains_with`] with the basis supplied by an indexing
-/// closure — lets callers fit against spans of a contiguous arena (e.g.
-/// the reference cache) without materializing a slice-of-slices.
+/// Allocation-free [`least_squares_gains`] with the basis supplied by an
+/// indexing closure — lets callers fit against spans of a contiguous arena
+/// (e.g. the reference cache) without materializing a slice-of-slices.
+/// Writes the fitted gains into `gains` (cleared first), reusing
+/// `scratch`'s capacity. Forms the identical Gram/projection inner products
+/// in the identical order and runs the identical elimination sequence as
+/// the allocating variant, so the gains are bit-identical.
 ///
 /// `self_inner(j)` must return `inner_product(basis(j), basis(j))`: it
 /// fills the Gram diagonal, so a caller that already holds each basis
@@ -465,7 +442,14 @@ mod tests {
             let views: Vec<&[Complex]> = owned.iter().map(Vec::as_slice).collect();
             let mut scratch = LsScratch::default();
             let mut gains = Vec::new();
-            let flat = least_squares_gains_with(&views, &y, &mut scratch, &mut gains);
+            let flat = least_squares_gains_by(
+                k,
+                |j| views[j],
+                |j| crate::complex::inner_product(views[j], views[j]),
+                &y,
+                &mut scratch,
+                &mut gains,
+            );
             match (nested, flat) {
                 (Ok(expect), Ok(())) => {
                     assert_eq!(expect.len(), gains.len());

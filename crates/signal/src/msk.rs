@@ -302,17 +302,6 @@ impl MskDemodulator {
             out.push(phase_step_is_positive(b * a.conj()));
         }
     }
-
-    /// Demodulates and additionally reports a coarse confidence: the mean
-    /// power of the whole waveform. Near-zero confidence indicates the
-    /// residual after ANC subtraction contained no signal (e.g. after
-    /// subtracting both components of a 2-collision).
-    #[must_use]
-    pub fn demodulate_with_confidence(&self, samples: &[Complex]) -> (Vec<bool>, f64) {
-        let bits = self.demodulate(samples);
-        let power = crate::complex::mean_power(samples);
-        (bits, power)
-    }
 }
 
 #[cfg(test)]
@@ -389,15 +378,6 @@ mod tests {
         let demod = MskDemodulator::new(cfg);
         assert!(demod.demodulate(&[Complex::ONE; 8]).is_empty());
         assert!(demod.demodulate(&[]).is_empty());
-    }
-
-    #[test]
-    fn confidence_reflects_power() {
-        let cfg = MskConfig::default();
-        let bits = vec![true; 8];
-        let wave = MskModulator::new(cfg.clone()).modulate(&bits, 2.0, 0.0);
-        let (_, conf) = MskDemodulator::new(cfg).demodulate_with_confidence(&wave);
-        assert!((conf - 4.0).abs() < 1e-9);
     }
 
     /// The `% period` phase stepping the compare-and-wrap loop replaced.

@@ -209,12 +209,6 @@ impl LambdaPolicy {
             promote_above_db: 6.5,
         }
     }
-
-    /// Whether this policy can ever change λ.
-    #[must_use]
-    pub fn is_adaptive(&self) -> bool {
-        !matches!(self, LambdaPolicy::Fixed)
-    }
 }
 
 /// Configuration of one simulated inventory run.
@@ -265,13 +259,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns this configuration with different air-interface timing.
-    #[must_use]
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
         self
     }
 
@@ -358,13 +345,11 @@ impl SimConfig {
         self.hash_bits
     }
 
-    /// Returns this configuration with a worker count for batched
-    /// signal-backed peeling. The default of 1 evaluates inline; any
-    /// value produces bit-identical reports — batched records are
-    /// participant-disjoint, every noise term comes from a counter stream
-    /// keyed on `(seed, record, hop)` rather than a shared sequential RNG,
-    /// and outcomes are applied in record order — so this is purely a
-    /// wall-clock knob.
+    /// Returns this configuration with a worker count. The value is
+    /// accepted and validated but has no effect: collision records resolve
+    /// on one sequential chain (each learned ID unlocks the next record),
+    /// so there is no intra-inventory work to spread. Parallelism lives at
+    /// the site and run level (`shard`, `run_many`).
     ///
     /// # Panics
     ///
@@ -376,7 +361,7 @@ impl SimConfig {
         self
     }
 
-    /// Worker count for batched signal-backed peeling (default 1).
+    /// The configured worker count (default 1; has no effect).
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -404,9 +389,8 @@ impl SimConfig {
     /// …) assert their arguments, which is right for programmatic
     /// construction — but a config assembled from *external input* (a
     /// `repro serve` JSON request, a deserialized snapshot) bypasses them
-    /// field by field, and an invalid value then panics deep inside the
-    /// engine (e.g. `threads: 0` inside the scoped-thread peeling
-    /// cascade). Run entry points call this at start so such configs are
+    /// field by field, and an invalid value would then panic deep inside
+    /// the engine. Run entry points call this at start so such configs are
     /// rejected with a structured [`SimError`] instead.
     ///
     /// # Errors
@@ -563,9 +547,7 @@ mod tests {
     #[test]
     fn lambda_policy_default_and_builder() {
         assert_eq!(SimConfig::default().lambda_policy(), &LambdaPolicy::Fixed);
-        assert!(!LambdaPolicy::Fixed.is_adaptive());
         let adaptive = LambdaPolicy::snr_window();
-        assert!(adaptive.is_adaptive());
         let c = SimConfig::default().with_lambda_policy(adaptive.clone());
         assert_eq!(c.lambda_policy(), &adaptive);
     }
@@ -602,8 +584,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_builder_bypassing_configs() {
-        // `threads: 0` used to panic deep in the scoped-thread cascade
-        // when it arrived via deserialization instead of `with_threads`.
+        // `threads: 0` arriving via deserialization instead of
+        // `with_threads` is rejected, not silently accepted.
         let err = raw_config(0, 16, 1000).validate().unwrap_err();
         assert!(err.to_string().contains("threads"), "{err}");
         let err = raw_config(1, 0, 1000).validate().unwrap_err();

@@ -347,14 +347,6 @@ impl Schedule {
         self.slices.iter().map(Vec::len).sum()
     }
 
-    /// The slice that runs `site`, or `None` if the site is unscheduled.
-    #[must_use]
-    pub fn slice_of(&self, site: usize) -> Option<usize> {
-        self.slices
-            .iter()
-            .position(|slice| slice.binary_search(&site).is_ok())
-    }
-
     /// Checks the schedule against a graph: every slice an independent
     /// set, every one of the graph's sites scheduled exactly once.
     #[must_use]
@@ -734,9 +726,6 @@ mod tests {
         let schedule = Schedule::greedy(&graph);
         assert_eq!(schedule.slices, vec![vec![0, 2], vec![1, 3]]);
         assert!(schedule.is_valid_for(&graph));
-        assert_eq!(schedule.slice_of(2), Some(0));
-        assert_eq!(schedule.slice_of(3), Some(1));
-        assert_eq!(schedule.slice_of(4), None);
         assert!(schedule.num_slices() <= graph.max_degree() + 1);
     }
 

@@ -50,8 +50,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 /// bit first.
 ///
 /// The bit string is processed exactly as the air interface would transmit
-/// it, so CRCs computed here agree with CRCs computed over the demodulated
-/// bit vector by [`crc16_bits`].
+/// it.
 ///
 /// # Panics
 ///
@@ -71,24 +70,6 @@ pub fn crc16_value(value: u128, bit_len: u32) -> u16 {
     reg
 }
 
-/// Computes the CRC over a slice of individual bits (`true` = 1), MSB-first
-/// in slice order.
-///
-/// This is the form used by the signal layer, which demodulates a slot into
-/// a `Vec<bool>` before checking integrity.
-#[must_use]
-pub fn crc16_bits(bits: &[bool]) -> u16 {
-    let mut reg = INIT;
-    for &bit in bits {
-        let msb = (reg >> 15) & 1;
-        reg <<= 1;
-        if msb ^ u16::from(bit) != 0 {
-            reg ^= POLYNOMIAL;
-        }
-    }
-    reg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,20 +83,7 @@ mod tests {
     #[test]
     fn empty_input_yields_init() {
         assert_eq!(crc16(&[]), INIT);
-        assert_eq!(crc16_bits(&[]), INIT);
         assert_eq!(crc16_value(0, 0), INIT);
-    }
-
-    #[test]
-    fn bitwise_agrees_with_bytewise() {
-        let data = [0xDEu8, 0xAD, 0xBE, 0xEF, 0x01, 0x23];
-        let mut bits = Vec::new();
-        for byte in data {
-            for i in (0..8).rev() {
-                bits.push((byte >> i) & 1 == 1);
-            }
-        }
-        assert_eq!(crc16(&data), crc16_bits(&bits));
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub mod timing;
 mod id;
 
 pub use id::{ParseTagIdError, TagId, PAYLOAD_BITS, TAG_ID_BITS};
-pub use slot::{SlotClass, SlotOutcome};
+pub use slot::SlotClass;
 pub use timing::TimingConfig;

@@ -5,57 +5,6 @@
 //! > transmits, it is a *collision* slot. In particular, if k tags transmit
 //! > simultaneously, the slot is called a *k-collision* slot, where k ≥ 2."
 
-use crate::TagId;
-
-/// Ground-truth outcome of one time slot, as seen by an omniscient observer
-/// (the simulator). The *reader's* view is coarser: it sees either silence,
-/// a CRC-valid ID, or an undecodable mixture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum SlotOutcome {
-    /// No tag transmitted.
-    Empty,
-    /// Exactly one tag transmitted; the reader can decode its ID directly.
-    Singleton(TagId),
-    /// Two or more tags transmitted; the reader records a mixed signal.
-    Collision(Vec<TagId>),
-}
-
-impl SlotOutcome {
-    /// Classifies a list of transmitters into a slot outcome.
-    ///
-    /// The transmitter list is taken by value; for a collision it is stored
-    /// as the ground-truth constituent set of the future collision record.
-    #[must_use]
-    pub fn from_transmitters(mut transmitters: Vec<TagId>) -> Self {
-        match transmitters.len() {
-            0 => SlotOutcome::Empty,
-            1 => SlotOutcome::Singleton(transmitters.pop().expect("len checked")),
-            _ => SlotOutcome::Collision(transmitters),
-        }
-    }
-
-    /// The number of tags that transmitted in this slot.
-    #[must_use]
-    pub fn arity(&self) -> usize {
-        match self {
-            SlotOutcome::Empty => 0,
-            SlotOutcome::Singleton(_) => 1,
-            SlotOutcome::Collision(ids) => ids.len(),
-        }
-    }
-
-    /// The coarse class of this outcome.
-    #[must_use]
-    pub fn class(&self) -> SlotClass {
-        match self {
-            SlotOutcome::Empty => SlotClass::Empty,
-            SlotOutcome::Singleton(_) => SlotClass::Singleton,
-            SlotOutcome::Collision(_) => SlotClass::Collision,
-        }
-    }
-}
-
 /// Coarse slot class used for counting (Table II reports exactly these three
 /// categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,31 +32,6 @@ impl core::fmt::Display for SlotClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        let a = TagId::from_payload(1);
-        let b = TagId::from_payload(2);
-        assert_eq!(SlotOutcome::from_transmitters(vec![]), SlotOutcome::Empty);
-        assert_eq!(
-            SlotOutcome::from_transmitters(vec![a]),
-            SlotOutcome::Singleton(a)
-        );
-        assert_eq!(
-            SlotOutcome::from_transmitters(vec![a, b]),
-            SlotOutcome::Collision(vec![a, b])
-        );
-    }
-
-    #[test]
-    fn arity_and_class() {
-        let ids: Vec<TagId> = (0..5).map(TagId::from_payload).collect();
-        let outcome = SlotOutcome::from_transmitters(ids);
-        assert_eq!(outcome.arity(), 5);
-        assert_eq!(outcome.class(), SlotClass::Collision);
-        assert_eq!(SlotOutcome::Empty.arity(), 0);
-        assert_eq!(SlotOutcome::Empty.class(), SlotClass::Empty);
-    }
 
     #[test]
     fn display_class() {

@@ -2,7 +2,7 @@
 //! adversarial mixtures must produce clean errors — never panics, never a
 //! CRC-valid ghost ID that nobody transmitted.
 
-use anc_rfid::signal::{anc, resolve_two_energy, Complex, MskConfig};
+use anc_rfid::signal::{anc, Complex, MskConfig};
 use anc_rfid::types::TagId;
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ proptest! {
         prop_assert!(anc::decode_singleton(&wave, &cfg).is_none());
     }
 
-    /// The resolvers accept arbitrary garbage without panicking and report
+    /// The resolver accepts arbitrary garbage without panicking and reports
     /// structured errors for wrong lengths.
     #[test]
     fn resolvers_fail_cleanly_on_junk(
@@ -38,7 +38,6 @@ proptest! {
         let cfg = MskConfig::default();
         let known = TagId::from_payload(known_payload);
         let _ = anc::resolve(&wave, &[known], &cfg);
-        let _ = resolve_two_energy(&wave, known, &cfg);
         // Wrong length is a structured error.
         let short = anc::resolve(&wave[..100], &[known], &cfg);
         let is_bad_length = matches!(short, Err(anc::AncError::BadLength { .. }));

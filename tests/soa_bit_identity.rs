@@ -1,14 +1,13 @@
-//! Bit-identity guard for the data-oriented (SoA + batched) signal path.
+//! Bit-identity guard for the data-oriented (SoA) signal-backed path.
 //!
 //! The goldens under `tests/goldens/soa_*.txt` are captured from the
 //! counter-stream noise path: every AWGN realization is a pure function of
-//! `(noise_seed, record, hop)`, so the report is invariant to draw order —
-//! and therefore to worker count — *by construction*. The goldens pin the
-//! realizations themselves for FCAT and SCAT at every `RecoveryPolicy`,
-//! across seeds 0–5 and at a noise level high enough to exercise failed
-//! attempts, salvage retries and re-query scheduling; the thread-matrix
-//! tests below then check the construction holds (threads ∈ {1, 2, 4, 8}
-//! produce byte-identical reports).
+//! `(noise_seed, record, hop)`, so the report is invariant to draw order by
+//! construction. The goldens pin the realizations themselves for FCAT and
+//! SCAT at every `RecoveryPolicy`, across seeds 0–5 and at a noise level
+//! high enough to exercise failed attempts, salvage retries and re-query
+//! scheduling. `trace_goldens` pins the per-attempt events these
+//! report-level goldens do not show.
 //!
 //! To (re)bless after an *intentional* behaviour change:
 //!
@@ -151,99 +150,5 @@ fn scat2_signal_backed_matches_per_record_goldens() {
             ),
             300,
         );
-    }
-}
-
-/// Worker count is purely a wall-clock knob: the scoped-thread peeling
-/// pass must reproduce the single-worker report byte for byte, because
-/// batch members are participant-disjoint, every noise realization is a
-/// pure function of its `(noise_seed, record, hop)` stream coordinates,
-/// and outcomes apply in record order. Runs the full {1, 2, 4, 8} matrix
-/// the equivalence argument in DESIGN §13 commits to.
-#[test]
-fn scoped_threads_match_single_worker_reports() {
-    for (_, policy) in policies() {
-        for (lambda, noise) in [(2u32, 0.35), (3, 0.25)] {
-            let fcat = Fcat::new(
-                FcatConfig::default()
-                    .with_lambda(lambda)
-                    .with_resolution(signal_backed(noise))
-                    .with_recovery(policy),
-            );
-            for seed in SEEDS {
-                let tags = population::uniform(&mut seeded_rng(700 + seed), 300);
-                let config = SimConfig::default().with_seed(seed);
-                let single = run_inventory(&fcat, &tags, &config).expect("inventory completes");
-                for threads in [2usize, 4, 8] {
-                    let threaded =
-                        run_inventory(&fcat, &tags, &config.clone().with_threads(threads))
-                            .expect("inventory completes");
-                    assert_eq!(
-                        canonical(&single),
-                        canonical(&threaded),
-                        "threads={threads} diverged from threads=1 \
-                         (λ={lambda}, noise={noise}, seed={seed})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn scoped_threads_match_single_worker_reports_scat() {
-    let scat = Scat::new(
-        ScatConfig::default()
-            .with_resolution(signal_backed(0.35))
-            .with_recovery(RecoveryPolicy::SalvagePartial),
-    );
-    for seed in SEEDS {
-        let tags = population::uniform(&mut seeded_rng(700 + seed), 300);
-        let config = SimConfig::default().with_seed(seed);
-        let single = run_inventory(&scat, &tags, &config).expect("inventory completes");
-        let threaded = run_inventory(&scat, &tags, &config.clone().with_threads(3))
-            .expect("inventory completes");
-        assert_eq!(
-            canonical(&single),
-            canonical(&threaded),
-            "threads=3 diverged from threads=1 (seed={seed})"
-        );
-    }
-}
-
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// Arbitrary seeds, noise levels, policies and worker counts: the
-        /// batched signal-backed path always matches the single-worker
-        /// report byte for byte.
-        #[test]
-        fn threaded_reports_are_bit_identical(
-            seed in any::<u64>(),
-            noise in 0.05f64..0.45,
-            lambda in 2u32..4,
-            threads_idx in 0usize..5,
-            policy_idx in 0usize..3,
-            n in 40usize..120,
-        ) {
-            let threads = [2usize, 3, 4, 6, 8][threads_idx];
-            let (_, policy) = policies()[policy_idx];
-            let tags = population::uniform(&mut seeded_rng(seed ^ 0x50A), n);
-            let fcat = Fcat::new(
-                FcatConfig::default()
-                    .with_lambda(lambda)
-                    .with_resolution(signal_backed(noise))
-                    .with_recovery(policy),
-            );
-            let config = SimConfig::default().with_seed(seed);
-            let single = run_inventory(&fcat, &tags, &config).expect("completes");
-            let threaded = run_inventory(&fcat, &tags, &config.clone().with_threads(threads))
-                .expect("completes");
-            prop_assert_eq!(canonical(&single), canonical(&threaded));
-        }
     }
 }
