@@ -1,12 +1,13 @@
-//! Criterion microbenchmarks for the hot components: CRC, slot hash, MSK
-//! modulation/demodulation, the signal-tier noise/reference/demod kernels,
-//! ANC resolution, record-store cascade, and the frame estimator.
+//! Criterion microbenchmarks for the hot components: CRC, slot hash, the
+//! hash-membership scan, MSK modulation/demodulation, the signal-tier
+//! noise/reference/demod kernels, ANC resolution, record-store cascade, and
+//! the frame estimator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_anc::CollisionRecordStore;
 use rfid_signal::{anc, cascade, ChannelModel, Complex, MskConfig, MskDemodulator, MskModulator};
 use rfid_sim::{noise_stream_seed, seeded_rng, CounterRng};
-use rfid_types::{crc, hash, TagId};
+use rfid_types::{crc, hash, population, TagId};
 
 fn bench_crc(c: &mut Criterion) {
     let id = TagId::from_payload(0xDEAD_BEEF_CAFE);
@@ -19,6 +20,28 @@ fn bench_hash(c: &mut Criterion) {
     let id = TagId::from_payload(0x1234_5678);
     c.bench_function("slot_hash", |b| {
         b.iter(|| hash::slot_hash(black_box(id), black_box(12345)));
+    });
+}
+
+/// One slot of the hash-membership scan at the `inventory-hash` workload's
+/// typical live population: 2 900 tags, p ≈ 1.414/2 900, l = 16.
+fn bench_membership_scan(c: &mut Criterion) {
+    let n = 2_900u32;
+    let states: Vec<hash::TagHashState> = population::uniform(&mut seeded_rng(5), n as usize)
+        .into_iter()
+        .map(hash::TagHashState::new)
+        .collect();
+    let ids: Vec<u32> = (0..n).collect();
+    let threshold = hash::probability_threshold(1.414 / f64::from(n), 16);
+    let mut out = Vec::new();
+    let mut slot = 0u64;
+    c.bench_function("membership_scan_2900", |b| {
+        b.iter(|| {
+            slot += 1;
+            out.clear();
+            hash::transmitters_into(&states, &ids, black_box(slot), threshold, 16, &mut out);
+            black_box(&out);
+        });
     });
 }
 
@@ -152,6 +175,7 @@ criterion_group!(
     benches,
     bench_crc,
     bench_hash,
+    bench_membership_scan,
     bench_msk,
     bench_signal_kernels,
     bench_anc_resolve,

@@ -33,7 +33,9 @@ use rfid_signal::anc;
 use rfid_signal::complex::Complex;
 use rfid_sim::sampling::{pick_distinct_indices_into, sample_binomial};
 use rfid_sim::{derive_seed, ErrorModel, InventoryReport, SimConfig, SimError, TraceEvent};
-use rfid_types::hash::{effective_probability, probability_threshold, TagHashState};
+use rfid_types::hash::{
+    effective_probability, probability_threshold, transmitters_into, TagHashState,
+};
 use rfid_types::{SlotClass, TagId};
 
 /// Sentinel in the dense position map for "not active".
@@ -333,14 +335,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 if p <= 0.0 {
                     return;
                 }
-                let slot = self.slot_index;
-                let threshold = probability_threshold(p, self.hash_bits);
-                let l = self.hash_bits;
-                for (&state, &idx) in self.active_states.iter().zip(&self.active) {
-                    if state.transmits(slot, threshold, l) {
-                        out.push(idx);
-                    }
-                }
+                transmitters_into(
+                    &self.active_states,
+                    &self.active,
+                    self.slot_index,
+                    probability_threshold(p, self.hash_bits),
+                    self.hash_bits,
+                    out,
+                );
             }
         }
     }

@@ -45,6 +45,7 @@ impl Json {
     /// Returns a human-readable message for malformed input.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -129,6 +130,9 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The input; strings and numbers are sliced out of it directly.
+    text: &'a str,
+    /// `text` as bytes, for the byte-at-a-time scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -243,6 +247,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte as one slice. All three stop bytes
+            // are ASCII, so the run ends on a character boundary.
+            let run = self.pos;
+            while let Some(byte) = self.peek() {
+                if byte == b'"' || byte == b'\\' || byte < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
@@ -251,71 +266,69 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let escaped = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_owned())?;
-                    self.pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: decode when well-formed,
-                            // replacement char otherwise (never panic).
-                            if (0xD800..=0xDBFF).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((u32::from(code) - 0xD800) << 10)
-                                        + (u32::from(low).saturating_sub(0xDC00));
-                                    out.push(char::from_u32(combined).unwrap_or('\u{FFFD}'));
-                                } else {
-                                    out.push('\u{FFFD}');
-                                }
-                            } else {
-                                out.push(char::from_u32(u32::from(code)).unwrap_or('\u{FFFD}'));
-                            }
-                        }
-                        other => {
-                            return Err(format!(
-                                "invalid escape '\\{}' at byte {}",
-                                other as char, self.pos
-                            ))
-                        }
-                    }
+                    out.push(self.escape()?);
                 }
-                Some(byte) if byte < 0x20 => {
-                    return Err(format!("unescaped control byte at {}", self.pos));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_owned())?;
-                    let ch = s.chars().next().ok_or_else(|| "empty string".to_owned())?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(format!("unescaped control byte at {}", self.pos)),
             }
         }
     }
 
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let escaped = self
+            .peek()
+            .ok_or_else(|| "unterminated escape".to_owned())?;
+        self.pos += 1;
+        Ok(match escaped {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => self.unicode_escape()?,
+            other => {
+                return Err(format!(
+                    "invalid escape '\\{}' at byte {}",
+                    other as char, self.pos
+                ))
+            }
+        })
+    }
+
+    /// Decodes the digits of a `\uXXXX` escape, joining a high surrogate
+    /// and a following `\u` low surrogate into one character. Any other
+    /// surrogate decodes to U+FFFD (never a panic), and whatever follows it
+    /// is left in the input to be decoded on its own.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = u32::from(self.hex4()?);
+        if (0xD800..=0xDBFF).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = u32::from(self.hex4()?);
+            if (0xDC00..=0xDFFF).contains(&low) {
+                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(combined).unwrap_or('\u{FFFD}'));
+            }
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
+    }
+
     fn hex4(&mut self) -> Result<u16, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".to_owned());
+        let digits = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or_else(|| "truncated \\u escape".to_owned())?;
+        // `from_str_radix` alone would also accept a leading '+'.
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(format!("invalid \\u escape at byte {}", self.pos));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "invalid \\u escape".to_owned())?;
-        let code =
-            u16::from_str_radix(hex, 16).map_err(|_| format!("invalid \\u escape '{hex}'"))?;
+        let code = u16::from_str_radix(&self.text[self.pos..end], 16)
+            .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
         self.pos = end;
         Ok(code)
     }
@@ -328,8 +341,7 @@ impl Parser<'_> {
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_owned())?;
+        let text = &self.text[start..self.pos];
         let value: f64 = text
             .parse()
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))?;
@@ -373,6 +385,39 @@ mod tests {
         // Surrogate pair (🎉 U+1F389).
         let v = Json::parse(r#""🎉""#).unwrap();
         assert_eq!(v.as_str(), Some("🎉"));
+    }
+
+    #[test]
+    fn unpaired_surrogates_decode_to_replacement_char() {
+        for (input, expected) in [
+            (r#""\uD800A""#, "\u{FFFD}A"),
+            (r#""\uD800\u0041""#, "\u{FFFD}A"),
+            (r#""\uDBFF\uDBFF\uDFFF""#, "\u{FFFD}\u{10FFFF}"),
+            (r#""\uDC00x""#, "\u{FFFD}x"),
+            (r#""\uD800""#, "\u{FFFD}"),
+            (r#""\uD83C\uDF89""#, "🎉"),
+        ] {
+            let v = Json::parse(input).unwrap();
+            assert_eq!(v.as_str(), Some(expected), "{input}");
+        }
+        for bad in [r#""\u+041""#, r#""\uD800\u+041""#, r#""\u12""#] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn one_mebibyte_string_decodes_in_linear_time() {
+        // The serve line cap is 1 MiB; the old per-character re-validation
+        // of the rest of the input made this take minutes.
+        let body = "a☃\\n".repeat((1 << 20) / 6);
+        let doc = format!("{{\"s\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        let s = v.get("s").and_then(Json::as_str).unwrap();
+        assert_eq!(s.len(), (1 << 20) / 6 * 5);
+        assert!(s.starts_with("a☃\na☃\n"));
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -17,13 +17,19 @@
 
 use crate::TagId;
 
+/// SplitMix64's additive constant and its two multipliers, shared by
+/// [`splitmix64`] and the eight-lane scan.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX2: u64 = 0x94D0_49BB_1331_11EB;
+
 /// Mixes one 64-bit word with the SplitMix64 finalizer.
 #[inline]
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x = x.wrapping_add(GAMMA);
+    x = (x ^ (x >> 30)).wrapping_mul(MIX1);
+    x = (x ^ (x >> 27)).wrapping_mul(MIX2);
     x ^ (x >> 31)
 }
 
@@ -35,8 +41,11 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// per-slot cost drops to a single finalizer round.
 ///
 /// Equivalence with the free functions is exact — see
-/// [`TagHashState::slot_hash`] — and enforced by a property test.
+/// [`TagHashState::slot_hash`] — and enforced by a property test. The
+/// state is exactly one `u64` wide, so a slice of states is a dense array
+/// of prefixes for the batch scan [`transmitters_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct TagHashState {
     prefix: u64,
 }
@@ -85,6 +94,142 @@ impl TagHashState {
     #[must_use]
     pub fn transmits(self, slot: u64, threshold: u64, l: u32) -> bool {
         self.slot_hash_bits(slot, l) <= threshold
+    }
+}
+
+/// Appends `ids[j]` to `out` for every `states[j]` that transmits in `slot`
+/// under the `l`-bit `threshold`, in index order: the batch form of
+/// [`TagHashState::transmits`], with exactly the same result.
+///
+/// On `x86_64` hosts with AVX-512DQ (detected at run time, see
+/// [`membership_kernel`]) the scan tests eight tags per step; everywhere
+/// else, and for the last `len % 8` tags, it runs the scalar loop.
+///
+/// # Panics
+///
+/// Panics if `l == 0`, `l > 32`, or `states` and `ids` differ in length.
+pub fn transmitters_into(
+    states: &[TagHashState],
+    ids: &[u32],
+    slot: u64,
+    threshold: u64,
+    l: u32,
+    out: &mut Vec<u32>,
+) {
+    assert!((1..=32).contains(&l), "l must be in 1..=32, got {l}");
+    assert_eq!(states.len(), ids.len(), "one id per hash state");
+    #[cfg(target_arch = "x86_64")]
+    let done = avx512::transmitters_into(states, ids, slot, threshold, l, out);
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    scalar_transmitters_into(&states[done..], &ids[done..], slot, threshold, l, out);
+}
+
+/// The reference loop behind [`transmitters_into`]; `l` is already checked.
+fn scalar_transmitters_into(
+    states: &[TagHashState],
+    ids: &[u32],
+    slot: u64,
+    threshold: u64,
+    l: u32,
+    out: &mut Vec<u32>,
+) {
+    let shift = 64 - l;
+    for (&state, &id) in states.iter().zip(ids) {
+        if state.slot_hash(slot) >> shift <= threshold {
+            out.push(id);
+        }
+    }
+}
+
+/// Names the membership-scan kernel [`transmitters_into`] uses on this
+/// host: `"avx512dq"` or `"scalar"`.
+#[must_use]
+pub fn membership_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
+        return "avx512dq";
+    }
+    "scalar"
+}
+
+/// The eight-lane membership scan. The only `unsafe` in the crate is the
+/// one feature-guarded call into [`avx512::scan`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use super::{TagHashState, GAMMA, MIX1, MIX2};
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_cmple_epu64_mask, _mm512_mullo_epi64, _mm512_set1_epi64,
+        _mm512_set_epi64, _mm512_srl_epi64, _mm512_srli_epi64, _mm512_xor_si512, _mm_cvtsi64_si128,
+    };
+
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+
+    /// Scans the longest multiple-of-eight prefix of `states` and returns
+    /// its length, or scans nothing and returns 0 when the CPU lacks
+    /// AVX-512DQ. The caller finishes the rest with the scalar loop.
+    pub(super) fn transmitters_into(
+        states: &[TagHashState],
+        ids: &[u32],
+        slot: u64,
+        threshold: u64,
+        l: u32,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        if !available() {
+            return 0;
+        }
+        // SAFETY: `scan` enables exactly `avx512f` and `avx512dq`, and
+        // `available()` has just confirmed the running CPU supports both.
+        unsafe { scan(states, ids, slot, threshold, l, out) }
+    }
+
+    /// SplitMix64 of `prefix ^ slot` in eight lanes, reduced to `l` bits
+    /// and compared with `threshold`; the set mask bits are walked lowest
+    /// first, so transmitters come out in index order as in the scalar
+    /// loop. Lane arithmetic wraps like `wrapping_add`/`wrapping_mul`, so
+    /// every lane equals [`TagHashState::slot_hash`].
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure the CPU supports AVX-512F and AVX-512DQ. The
+    /// body itself touches memory only through slices.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn scan(
+        states: &[TagHashState],
+        ids: &[u32],
+        slot: u64,
+        threshold: u64,
+        l: u32,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let splat = |x: u64| _mm512_set1_epi64(x as i64);
+        let slot = splat(slot);
+        let gamma = splat(GAMMA);
+        let m1 = splat(MIX1);
+        let m2 = splat(MIX2);
+        let threshold = splat(threshold);
+        let shift = _mm_cvtsi64_si128(i64::from(64 - l));
+
+        let chunks = states.chunks_exact(8);
+        let done = states.len() - chunks.remainder().len();
+        for (s, id) in chunks.zip(ids.chunks_exact(8)) {
+            let p = |k: usize| s[k].prefix as i64;
+            let prefix = _mm512_set_epi64(p(7), p(6), p(5), p(4), p(3), p(2), p(1), p(0));
+            let mut x = _mm512_add_epi64(_mm512_xor_si512(prefix, slot), gamma);
+            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)), m1);
+            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)), m2);
+            x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
+            let mut mask = _mm512_cmple_epu64_mask(_mm512_srl_epi64(x, shift), threshold);
+            while mask != 0 {
+                out.push(id[mask.trailing_zeros() as usize]);
+                mask &= mask - 1;
+            }
+        }
+        done
     }
 }
 
@@ -264,7 +409,111 @@ mod tests {
         let _ = slot_hash_bits(TagId::from_payload(0), 0, 0);
     }
 
+    /// The per-tag reference: `TagHashState::transmits` in index order.
+    fn reference(states: &[TagHashState], ids: &[u32], slot: u64, t: u64, l: u32) -> Vec<u32> {
+        states
+            .iter()
+            .zip(ids)
+            .filter(|(s, _)| s.transmits(slot, t, l))
+            .map(|(_, &id)| id)
+            .collect()
+    }
+
+    /// Checks the batch scan (whichever kernel this host runs) and the
+    /// scalar loop called directly against the per-tag reference; the
+    /// output must match exactly, order included, and must append.
+    fn check_batch(states: &[TagHashState], slot: u64, t: u64, l: u32) {
+        // Distinct, non-monotone ids so a reordering cannot go unseen.
+        let ids: Vec<u32> = (0..states.len() as u32)
+            .map(|j| j.wrapping_mul(2_654_435_761))
+            .collect();
+        let mut expected = vec![u32::MAX];
+        expected.extend(reference(states, &ids, slot, t, l));
+        let mut batch = vec![u32::MAX];
+        transmitters_into(states, &ids, slot, t, l, &mut batch);
+        assert_eq!(
+            batch,
+            expected,
+            "{} kernel, n={} slot={slot} t={t} l={l}",
+            membership_kernel(),
+            states.len()
+        );
+        let mut scalar = vec![u32::MAX];
+        scalar_transmitters_into(states, &ids, slot, t, l, &mut scalar);
+        assert_eq!(
+            scalar,
+            expected,
+            "scalar, n={} slot={slot} t={t} l={l}",
+            states.len()
+        );
+    }
+
+    fn states(n: usize, seed: u64) -> Vec<TagHashState> {
+        (0..n as u64)
+            .map(|j| {
+                TagHashState::new(TagId::from_raw_bits(
+                    u128::from(splitmix64(seed ^ j)) << 16 | u128::from(j),
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tag_hash_state_is_one_word() {
+        assert_eq!(std::mem::size_of::<TagHashState>(), 8);
+        assert_eq!(std::mem::align_of::<TagHashState>(), 8);
+    }
+
+    #[test]
+    fn batch_scan_matches_per_tag_test_exactly() {
+        let mut lengths: Vec<usize> = (0..=17).collect();
+        lengths.extend([2_900, 5_000]);
+        let mut draw = 0x5EED_u64;
+        let mut next = move || {
+            draw = splitmix64(draw);
+            draw
+        };
+        for l in 1..=32u32 {
+            let full = 1u64 << l;
+            let mut thresholds = vec![0, 1, full - 1, full];
+            thresholds.extend((0..3).map(|_| next() % full));
+            let slots = [0, u64::MAX, next(), next()];
+            for &n in &lengths {
+                let states = states(n, u64::from(l));
+                for &slot in &slots {
+                    for &t in &thresholds {
+                        check_batch(&states, slot, t, l);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "l must be in 1..=32")]
+    fn batch_scan_rejects_wide_l() {
+        transmitters_into(&states(8, 0), &[0; 8], 0, 0, 33, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "one id per hash state")]
+    fn batch_scan_rejects_mismatched_ids() {
+        transmitters_into(&states(8, 0), &[0; 7], 0, 0, 16, &mut Vec::new());
+    }
+
     proptest! {
+        #[test]
+        fn prop_batch_scan_matches_per_tag_test(
+            seed in any::<u64>(),
+            n in 0usize..64,
+            slot in any::<u64>(),
+            l in 1u32..=32,
+            threshold in any::<u64>(),
+        ) {
+            let threshold = threshold % ((1u64 << l) + 1);
+            check_batch(&states(n, seed), slot, threshold, l);
+        }
+
         #[test]
         fn prop_monotone_in_threshold(
             payload in any::<u128>(),
