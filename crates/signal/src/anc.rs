@@ -234,9 +234,15 @@ pub fn subtract_known(
 /// Upper bound on cached reference waveforms before the cache resets.
 ///
 /// References are pure functions of the ID, so eviction can never change a
-/// result — the bound only caps memory (256 × one whole-ID span ≈ 3 MB at
-/// the default 8 samples/bit).
-const MAX_CACHED_REFERENCES: usize = 256;
+/// result — the bound only caps memory (32 × one whole-ID span ≈ 0.4 MiB
+/// at the default 8 samples/bit) and keeps the cache itself in the CPU
+/// caches. A larger bound buys almost nothing: each resolution attempt
+/// needs the reference of its record's one unknown participant, which no
+/// earlier call has cached, so most misses are inherent. Over 48
+/// inventories of perfbench's `inventory-signal` workload (seed 1) the
+/// record stores' caches missed 56 991 times at 32 entries, 55 809 at 256
+/// and 55 671 at 1024.
+const MAX_CACHED_REFERENCES: usize = 32;
 
 /// A SoA store of reference waveforms keyed by [`TagId`]: one contiguous
 /// sample buffer, fixed-length spans. A frontier of cascade resolutions
@@ -282,7 +288,7 @@ impl ReferenceCache {
     }
 
     /// Returns the span index of `id`, modulating and inserting its
-    /// reference on a miss.
+    /// reference on a miss (after resetting a full cache).
     pub fn ensure(&mut self, id: TagId) -> usize {
         if let Some(idx) = self.index_of(id) {
             return idx;
@@ -290,6 +296,12 @@ impl ReferenceCache {
         if self.ids.len() >= MAX_CACHED_REFERENCES {
             self.clear();
         }
+        self.insert(id)
+    }
+
+    /// Modulates and appends the reference of an uncached `id`, returning
+    /// its span index. Never evicts.
+    fn insert(&mut self, id: TagId) -> usize {
         let idx = self.ids.len();
         self.ids.push(id);
         let start = idx * self.span;
@@ -304,19 +316,21 @@ impl ReferenceCache {
     }
 
     /// [`Self::ensure`] for every ID of one resolution attempt, leaving all
-    /// of them cached. `ensure` resets a full cache, which would drop an ID
-    /// warmed earlier in the same call; after a reset the IDs are warmed
-    /// again into the fresh cache.
+    /// of them cached. The cache resets at most once, before the misses are
+    /// inserted, when they would not fit under the bound; inserts never
+    /// evict, so a call with more IDs than the bound leaves an over-full
+    /// cache that the next miss resets.
     pub fn ensure_all(&mut self, ids: &[TagId]) {
-        let mut reset = false;
-        for &id in ids {
-            let before = self.ids.len();
-            self.ensure(id);
-            reset |= self.ids.len() < before;
+        let misses = ids
+            .iter()
+            .filter(|&&id| self.index_of(id).is_none())
+            .count();
+        if misses > 0 && self.ids.len() + misses > MAX_CACHED_REFERENCES {
+            self.clear();
         }
-        if reset {
-            for &id in ids {
-                self.ensure(id);
+        for &id in ids {
+            if self.index_of(id).is_none() {
+                self.insert(id);
             }
         }
     }
@@ -412,8 +426,8 @@ pub(crate) fn subtract_known_prepared(
 }
 
 /// [`transmit_mixed_into`] against a [`ReferenceCache`] and a pre-sized
-/// output span — the form the SoA record arena uses to synthesize a
-/// collision mixture in place.
+/// output span — the form the signal-backed record store uses to
+/// synthesize a collision mixture in place when the record is attempted.
 ///
 /// Draws the same RNG sequence and computes every sample with the same
 /// `f64` expression as [`transmit_mixed_into`] (the cached reference times
@@ -818,6 +832,82 @@ mod tests {
         for id in ids {
             assert!(cache.index_of(id).is_some(), "{id} evicted");
         }
+    }
+
+    #[test]
+    fn ensure_all_holds_more_ids_than_the_bound() {
+        let mut cache = ReferenceCache::new(&cfg());
+        cache.ensure(TagId::from_payload(7));
+        for n in [MAX_CACHED_REFERENCES + 1, 2 * MAX_CACHED_REFERENCES] {
+            let ids: Vec<TagId> = (0..n as u128)
+                .map(|i| TagId::from_payload(20_000 + i))
+                .collect();
+            cache.ensure_all(&ids);
+            for &id in &ids {
+                assert!(cache.index_of(id).is_some(), "{id} missing after {n} IDs");
+            }
+        }
+        // The over-full cache resets on the next miss.
+        cache.ensure(TagId::from_payload(8));
+        assert_eq!(cache.ids.len(), 1);
+    }
+
+    #[test]
+    fn resolve_cascaded_accepts_more_known_ids_than_the_bound() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (a, b) = (TagId::from_payload(1), TagId::from_payload(2));
+        let mixed = transmit_mixed(&[a, b], &cfg(), &quiet_model(), &mut rng);
+        for n in [MAX_CACHED_REFERENCES + 1, 2 * MAX_CACHED_REFERENCES] {
+            let known: Vec<TagId> = std::iter::once(a)
+                .chain((1..n as u128).map(|i| TagId::from_payload(40_000 + i)))
+                .collect();
+            let attempt =
+                crate::cascade::resolve_cascaded(&mixed, &known, &cfg(), 0.005, 0.0, &mut rng);
+            assert!(attempt.recovered.is_err(), "{n} known IDs: {attempt:?}");
+        }
+    }
+
+    #[test]
+    fn cached_mixture_matches_uncached_through_cache_states() {
+        // On a noiseless channel the cached synthesizer's output is the
+        // uncached mixture sample for sample, whether the references are
+        // cold, already cached, or dropped by a reset in the middle of
+        // the call (the cache one short of full, three new IDs).
+        let model = ChannelModel::default().noiseless();
+        let ids: Vec<TagId> = (0..3)
+            .map(|i| TagId::from_payload(0xABCD_0000 + i))
+            .collect();
+        let mut cache = ReferenceCache::new(&cfg());
+        let mut scratch = MixScratch::default();
+        let mut cached = vec![Complex::ZERO; cfg().samples_for_bits(96)];
+        let mut plain = Vec::new();
+        for (seed, state) in [(1, "cold"), (2, "warm"), (3, "reset mid-call")] {
+            if state == "reset mid-call" {
+                cache.clear();
+                for i in 0..(MAX_CACHED_REFERENCES as u128 - 1) {
+                    cache.ensure(TagId::from_payload(60_000 + i));
+                }
+            }
+            transmit_mixed_cached(
+                &ids,
+                &cfg(),
+                &model,
+                &mut StdRng::seed_from_u64(seed),
+                &mut cache,
+                &mut scratch,
+                &mut cached,
+            );
+            transmit_mixed_into(
+                &ids,
+                &cfg(),
+                &model,
+                &mut StdRng::seed_from_u64(seed),
+                &mut MixScratch::default(),
+                &mut plain,
+            );
+            assert_eq!(cached, plain, "{state} cache");
+        }
+        assert!(cache.ids.len() < 3, "the last call did not reset the cache");
     }
 
     #[test]

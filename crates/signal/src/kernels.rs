@@ -1,7 +1,7 @@
 //! Chunked elementwise DSP kernels for the data-oriented signal path.
 //!
 //! Waveforms are stored interleaved (`re, im` pairs — [`Complex`] is
-//! `#[repr(C)]`) in contiguous arena buffers; the hot elementwise loops
+//! `#[repr(C)]`) in contiguous buffers; the hot elementwise loops
 //! below (mixture accumulation and gain-scaled subtraction) walk them in
 //! explicit `chunks_exact(8)` blocks — eight complex samples, sixteen
 //! `f64` lanes per block — which the compiler autovectorizes without any

@@ -140,9 +140,9 @@ impl MskModulator {
     }
 
     /// [`MskModulator::modulate_into`] onto a pre-sized slice — the form
-    /// the SoA arena uses to synthesize directly into a span. Performs the
-    /// identical phase recurrence and `from_polar` calls, so samples are
-    /// bit-identical to the `Vec` variants.
+    /// the reference cache uses to modulate directly into one of its
+    /// spans. Performs the identical phase recurrence and `from_polar`
+    /// calls, so samples are bit-identical to the `Vec` variants.
     ///
     /// # Panics
     ///

@@ -31,8 +31,8 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// family used by signal-backed resolution.
 ///
 /// Every collision record owns a family of streams — one per cascade hop,
-/// plus reserved `hop` tags for deposit-time channel draws and re-query
-/// slots — so noise realizations are a pure function of *which* draw is
+/// plus reserved `hop` tags for the channel draws of its mixture and for
+/// re-query slots — so noise realizations are a pure function of *which* draw is
 /// being made, never of the global order draws happen to execute in. That
 /// order-independence is what lets batch workers generate noise inside the
 /// parallel evaluation phase while reports stay byte-identical at every
