@@ -28,7 +28,8 @@
 //! / stdin EOF.
 //!
 //! `repro bench` runs the committed perf harness (see [`rfid_bench::perf`])
-//! under a counting global allocator and writes `BENCH_PR2.json`.
+//! under a counting global allocator and writes `BENCH_PR20.json` unless
+//! `--out` names another file.
 
 use rfid_bench::experiments::{self, ExperimentOptions};
 use rfid_bench::output::Table;

@@ -469,9 +469,15 @@ pub fn run_extension_model(opts: &ExperimentOptions) -> Result<Table, SimError> 
     Ok(table)
 }
 
-/// **Extension F** — periodic reading with churn (§I's motivating
-/// workload): throughput per round for warm ABS, warm FCAT, and stateless
-/// DFSA under increasing churn.
+/// **Extension F** — periodic reading with churn (§I's workload):
+/// throughput per round for warm ABS, warm FCAT, and stateless DFSA under
+/// increasing churn.
+///
+/// A row `(d, A)` makes each present tag leave after a round with
+/// probability `d` and `A` tags arrive per round on average: a
+/// [`DwellModel::poisson`] schedule with mean dwell `-1/ln(1 - d)`, whose
+/// whole-round dwell is geometric with exactly that per-round departure
+/// chance (EXPERIMENTS.md, Extension F). Every round is a full inventory.
 ///
 /// # Errors
 ///
@@ -479,7 +485,6 @@ pub fn run_extension_model(opts: &ExperimentOptions) -> Result<Table, SimError> 
 pub fn run_extension_rounds(opts: &ExperimentOptions) -> Result<Table, SimError> {
     use rfid_anc::FcatSession;
     use rfid_protocols::{AbsSession, AqsSession};
-    use rfid_sim::rounds::{run_rounds, ChurnModel, MultiRoundSession, StatelessSession};
 
     let n = if opts.quick { 500 } else { 5_000 };
     let rounds = 6;
@@ -495,7 +500,12 @@ pub fn run_extension_rounds(opts: &ExperimentOptions) -> Result<Table, SimError>
     );
     let churns: &[(f64, usize)] = &[(0.0, 0), (0.02, n / 50), (0.10, n / 10), (0.30, n * 3 / 10)];
     for &(dep, arr) in churns {
-        let churn = ChurnModel::new(dep, arr);
+        let schedule = if dep == 0.0 {
+            PopulationSchedule::static_population(n, rounds, opts.seed)
+        } else {
+            let model = DwellModel::poisson(arr as f64, -1.0 / (1.0 - dep).ln());
+            PopulationSchedule::generate(&model, n, rounds, opts.seed)
+        };
         let mut row = vec![format!("{:.0}% +{arr}", dep * 100.0)];
         let mut sessions: Vec<Box<dyn MultiRoundSession>> = vec![
             Box::new(FcatSession::new(FcatConfig::default())),
@@ -504,7 +514,12 @@ pub fn run_extension_rounds(opts: &ExperimentOptions) -> Result<Table, SimError>
             Box::new(StatelessSession::new(Dfsa::new())),
         ];
         for session in &mut sessions {
-            let report = run_rounds(session.as_mut(), n, rounds, &churn, &opts.sim())?;
+            let report = run_monitoring(
+                session.as_mut(),
+                &schedule,
+                &MonitorConfig::default(),
+                &opts.sim(),
+            )?;
             row.push(f1(report.warm_throughput()));
         }
         table.push_row(row);

@@ -104,7 +104,7 @@ impl Default for BenchOptions {
             check_allocs: true,
             baseline: None,
             gate: None,
-            out: PathBuf::from("BENCH_PR7.json"),
+            out: PathBuf::from("BENCH_PR20.json"),
         }
     }
 }

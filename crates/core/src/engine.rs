@@ -42,18 +42,18 @@ use rfid_types::{SlotClass, TagId};
 const NOT_ACTIVE: u32 = u32::MAX;
 
 /// Stream tag for the signal-backed resolution noise-seed, derived from
-/// the run seed. `u64::MAX` is the rounds population stream and
-/// `index*2(+1)` the per-run streams, so `u64::MAX - 2` cannot collide
-/// with either. The derived value is the *master* of the store's
+/// the run seed. `index*2(+1)` are the per-run streams and `u64::MAX - 4`
+/// the population-schedule stream, so `u64::MAX - 2` cannot collide with
+/// either. The derived value is the *master* of the store's
 /// per-record `(seed, record, hop)` counter-stream family; shared with the
 /// message-level device reader so both layers realize the same noise.
 pub(crate) const RESOLUTION_RNG_STREAM: u64 = u64::MAX - 2;
 
 /// Stream tag for the collision-recovery backend's per-slot draws
 /// (compressed sensing's success probability). Reserved alongside
-/// [`RESOLUTION_RNG_STREAM`]: `u64::MAX` is the rounds population stream,
-/// `index*2(+1)` the per-run streams, and `u64::MAX - 2` the resolution
-/// noise master, so `u64::MAX - 3` cannot collide with any of them. The
+/// [`RESOLUTION_RNG_STREAM`]: `index*2(+1)` are the per-run streams,
+/// `u64::MAX - 4` the population-schedule stream and `u64::MAX - 2` the
+/// resolution noise master, so `u64::MAX - 3` cannot collide with any of them. The
 /// derived value masters the backend's `(seed, slot)` counter-stream
 /// family — backend draws can never perturb the protocol RNG trajectory.
 pub(crate) const BACKEND_RNG_STREAM: u64 = u64::MAX - 3;

@@ -18,12 +18,13 @@ use rfid_types::TagId;
 ///
 /// ```
 /// use rfid_anc::{FcatConfig, FcatSession};
-/// use rfid_sim::rounds::{run_rounds, ChurnModel};
-/// use rfid_sim::SimConfig;
+/// use rfid_sim::{run_monitoring, DwellModel, MonitorConfig, PopulationSchedule, SimConfig};
 ///
+/// // 500 tags; 50 arrive per round and each stays 10 rounds on average.
+/// let schedule = PopulationSchedule::generate(&DwellModel::poisson(50.0, 10.0), 500, 3, 0);
 /// let mut session = FcatSession::new(FcatConfig::default());
-/// let report = run_rounds(&mut session, 500, 3, &ChurnModel::new(0.1, 50),
-///                         &SimConfig::default())?;
+/// let report = run_monitoring(&mut session, &schedule, &MonitorConfig::default(),
+///                             &SimConfig::default())?;
 /// assert_eq!(report.per_round.len(), 3);
 /// # Ok::<(), rfid_sim::SimError>(())
 /// ```
@@ -86,12 +87,13 @@ impl MultiRoundSession for FcatSession {
 ///
 /// ```
 /// use rfid_anc::{ScatConfig, ScatSession};
-/// use rfid_sim::rounds::{run_rounds, ChurnModel};
-/// use rfid_sim::SimConfig;
+/// use rfid_sim::{run_monitoring, DwellModel, MonitorConfig, PopulationSchedule, SimConfig};
 ///
+/// // 500 tags; 50 arrive per round and each stays 10 rounds on average.
+/// let schedule = PopulationSchedule::generate(&DwellModel::poisson(50.0, 10.0), 500, 3, 0);
 /// let mut session = ScatSession::new(ScatConfig::default());
-/// let report = run_rounds(&mut session, 500, 3, &ChurnModel::new(0.1, 50),
-///                         &SimConfig::default())?;
+/// let report = run_monitoring(&mut session, &schedule, &MonitorConfig::default(),
+///                             &SimConfig::default())?;
 /// assert_eq!(report.per_round.len(), 3);
 /// # Ok::<(), rfid_sim::SimError>(())
 /// ```
@@ -149,21 +151,25 @@ impl MultiRoundSession for ScatSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_sim::rounds::{run_rounds, ChurnModel};
+    use rfid_sim::{run_monitoring, DwellModel, MonitorConfig, MonitorReport, PopulationSchedule};
+
+    fn monitor(
+        session: &mut dyn MultiRoundSession,
+        schedule: &PopulationSchedule,
+        seed: u64,
+    ) -> MonitorReport {
+        let config = SimConfig::default().with_seed(seed);
+        run_monitoring(session, schedule, &MonitorConfig::default(), &config).unwrap()
+    }
 
     #[test]
     fn warm_start_tracks_population() {
         let mut session =
             FcatSession::new(FcatConfig::default().with_initial(InitialPopulation::Guess(16)));
         assert_eq!(session.warm_estimate(), None);
-        let report = run_rounds(
-            &mut session,
-            2_000,
-            3,
-            &ChurnModel::new(0.05, 100),
-            &SimConfig::default().with_seed(1),
-        )
-        .unwrap();
+        // Mean dwell 20 rounds: about 5 % leave after each round.
+        let schedule = PopulationSchedule::generate(&DwellModel::poisson(100.0, 20.0), 2_000, 3, 1);
+        let report = monitor(&mut session, &schedule, 1);
         assert_eq!(report.per_round.len(), 3);
         // The session now knows the scale of the population.
         let warm = session.warm_estimate().unwrap();
@@ -180,14 +186,11 @@ mod tests {
         // throughput while the cold round pays convergence frames.
         let mut session =
             FcatSession::new(FcatConfig::default().with_initial(InitialPopulation::Guess(16)));
-        let report = run_rounds(
+        let report = monitor(
             &mut session,
-            3_000,
-            4,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(2),
-        )
-        .unwrap();
+            &PopulationSchedule::static_population(3_000, 4, 2),
+            2,
+        );
         let cold = report.per_round[0].throughput_tags_per_sec;
         let warm = report.warm_throughput();
         assert!(
@@ -202,14 +205,8 @@ mod tests {
         let mut session =
             ScatSession::new(ScatConfig::default().with_initial(InitialPopulation::Guess(16)));
         assert_eq!(session.warm_estimate(), None);
-        let report = run_rounds(
-            &mut session,
-            1_000,
-            3,
-            &ChurnModel::new(0.05, 50),
-            &SimConfig::default().with_seed(4),
-        )
-        .unwrap();
+        let schedule = PopulationSchedule::generate(&DwellModel::poisson(50.0, 20.0), 1_000, 3, 4);
+        let report = monitor(&mut session, &schedule, 4);
         assert_eq!(report.per_round.len(), 3);
         let warm = session.warm_estimate().unwrap();
         assert!((800..1_200).contains(&warm), "warm estimate {warm}");

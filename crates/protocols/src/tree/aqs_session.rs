@@ -19,12 +19,12 @@ use rfid_types::TagId;
 ///
 /// ```
 /// use rfid_protocols::AqsSession;
-/// use rfid_sim::rounds::{run_rounds, ChurnModel};
-/// use rfid_sim::SimConfig;
+/// use rfid_sim::{run_monitoring, MonitorConfig, PopulationSchedule, SimConfig};
 ///
+/// let schedule = PopulationSchedule::static_population(200, 3, 0);
 /// let mut session = AqsSession::new();
-/// let report = run_rounds(&mut session, 200, 3, &ChurnModel::none(),
-///                         &SimConfig::default())?;
+/// let report = run_monitoring(&mut session, &schedule, &MonitorConfig::default(),
+///                             &SimConfig::default())?;
 /// // Warm rounds re-read the static population without any collision.
 /// assert_eq!(report.per_round[1].slots.collision, 0);
 /// # Ok::<(), rfid_sim::SimError>(())
@@ -130,19 +130,36 @@ fn prefix_matches_any(prefix: Prefix, tags: &[TagId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_sim::rounds::{run_rounds, ChurnModel};
+    use rfid_sim::{run_monitoring, DwellModel, MonitorConfig, MonitorReport, PopulationSchedule};
+
+    fn monitor(
+        session: &mut dyn MultiRoundSession,
+        schedule: &PopulationSchedule,
+        seed: u64,
+    ) -> MonitorReport {
+        let config = SimConfig::default().with_seed(seed);
+        run_monitoring(session, schedule, &MonitorConfig::default(), &config).unwrap()
+    }
+
+    /// `arrivals` tags per round and nobody leaves within `rounds` rounds.
+    fn arrivals_only(
+        initial: usize,
+        rounds: usize,
+        arrivals: f64,
+        seed: u64,
+    ) -> PopulationSchedule {
+        let model = DwellModel::conveyor(arrivals, rounds as u32);
+        PopulationSchedule::generate(&model, initial, rounds, seed)
+    }
 
     #[test]
     fn static_population_rereads_without_collisions() {
         let mut session = AqsSession::new();
-        let report = run_rounds(
+        let report = monitor(
             &mut session,
-            400,
-            3,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(1),
-        )
-        .unwrap();
+            &PopulationSchedule::static_population(400, 3, 1),
+            1,
+        );
         // Cold round pays the full tree...
         assert!(report.per_round[0].slots.collision > 300);
         // ...warm rounds are collision-free: one query per leaf.
@@ -161,14 +178,11 @@ mod tests {
         // to exactly N slots. This is the known AQS/ABS gap under reading
         // (Myung-Lee's own comparison).
         let mut session = AqsSession::new();
-        let report = run_rounds(
+        let report = monitor(
             &mut session,
-            400,
+            &PopulationSchedule::static_population(400, 2, 2),
             2,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(2),
-        )
-        .unwrap();
+        );
         let warm = &report.per_round[1].slots;
         assert_eq!(warm.singleton, 400);
         assert!(warm.empty > 0);
@@ -177,14 +191,7 @@ mod tests {
     #[test]
     fn arrivals_split_only_their_leaves() {
         let mut session = AqsSession::new();
-        let report = run_rounds(
-            &mut session,
-            400,
-            2,
-            &ChurnModel::new(0.0, 40),
-            &SimConfig::default().with_seed(3),
-        )
-        .unwrap();
+        let report = monitor(&mut session, &arrivals_only(400, 2, 40.0, 3), 3);
         let warm = &report.per_round[1].slots;
         assert_eq!(report.per_round[1].identified, 440);
         assert!(warm.collision < 160, "{warm:?}");
@@ -195,15 +202,10 @@ mod tests {
         // Without QueryDeletion the carried queue grows every round;
         // with it, the leaf count stays proportional to the population.
         let mut session = AqsSession::new();
-        let churn = ChurnModel::new(0.3, 120);
-        let report = run_rounds(
-            &mut session,
-            400,
-            12,
-            &churn,
-            &SimConfig::default().with_seed(9),
-        )
-        .unwrap();
+        // 120 arrivals per round; mean dwell 2.8 rounds: about 30 % leave
+        // after each round.
+        let schedule = PopulationSchedule::generate(&DwellModel::poisson(120.0, 2.8), 400, 12, 9);
+        let report = monitor(&mut session, &schedule, 9);
         let final_pop = *report.population_per_round.last().unwrap();
         let leaves = session.carried_leaves();
         assert!(

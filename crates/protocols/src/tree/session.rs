@@ -24,12 +24,12 @@ use std::collections::{HashSet, VecDeque};
 ///
 /// ```
 /// use rfid_protocols::AbsSession;
-/// use rfid_sim::rounds::{run_rounds, ChurnModel};
-/// use rfid_sim::SimConfig;
+/// use rfid_sim::{run_monitoring, MonitorConfig, PopulationSchedule, SimConfig};
 ///
+/// let schedule = PopulationSchedule::static_population(200, 3, 0);
 /// let mut session = AbsSession::new();
-/// let report = run_rounds(&mut session, 200, 3, &ChurnModel::none(),
-///                         &SimConfig::default())?;
+/// let report = run_monitoring(&mut session, &schedule, &MonitorConfig::default(),
+///                             &SimConfig::default())?;
 /// // A static population re-reads in pure singletons from round 2 on.
 /// assert_eq!(report.per_round[1].slots.singleton, 200);
 /// assert_eq!(report.per_round[1].slots.collision, 0);
@@ -107,21 +107,38 @@ impl MultiRoundSession for AbsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_sim::rounds::{run_rounds, ChurnModel};
+    use rfid_sim::{run_monitoring, DwellModel, MonitorConfig, MonitorReport, PopulationSchedule};
+
+    fn monitor(
+        session: &mut dyn MultiRoundSession,
+        schedule: &PopulationSchedule,
+        seed: u64,
+    ) -> MonitorReport {
+        let config = SimConfig::default().with_seed(seed);
+        run_monitoring(session, schedule, &MonitorConfig::default(), &config).unwrap()
+    }
+
+    /// `arrivals` tags per round and nobody leaves within `rounds` rounds.
+    fn arrivals_only(
+        initial: usize,
+        rounds: usize,
+        arrivals: f64,
+        seed: u64,
+    ) -> PopulationSchedule {
+        let model = DwellModel::conveyor(arrivals, rounds as u32);
+        PopulationSchedule::generate(&model, initial, rounds, seed)
+    }
     use rfid_sim::seeded_rng;
     use rfid_types::population;
 
     #[test]
     fn first_round_matches_cold_abs_scale() {
         let mut session = AbsSession::new();
-        let report = run_rounds(
+        let report = monitor(
             &mut session,
-            1_000,
+            &PopulationSchedule::static_population(1_000, 1, 1),
             1,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(1),
-        )
-        .unwrap();
+        );
         let slots = report.per_round[0].slots.total();
         assert!((2_500..3_300).contains(&slots), "cold round used {slots}");
     }
@@ -129,14 +146,11 @@ mod tests {
     #[test]
     fn static_population_rereads_in_pure_singletons() {
         let mut session = AbsSession::new();
-        let report = run_rounds(
+        let report = monitor(
             &mut session,
-            500,
-            3,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(2),
-        )
-        .unwrap();
+            &PopulationSchedule::static_population(500, 3, 2),
+            2,
+        );
         for round in 1..3 {
             let slots = &report.per_round[round].slots;
             assert_eq!(slots.singleton, 500, "round {round}");
@@ -150,14 +164,9 @@ mod tests {
     #[test]
     fn departures_cost_empty_slots() {
         let mut session = AbsSession::new();
-        let report = run_rounds(
-            &mut session,
-            400,
-            2,
-            &ChurnModel::new(0.3, 0),
-            &SimConfig::default().with_seed(3),
-        )
-        .unwrap();
+        // No arrivals; mean dwell 2.8 rounds: about 30 % leave after round 0.
+        let schedule = PopulationSchedule::generate(&DwellModel::poisson(0.0, 2.8), 400, 2, 3);
+        let report = monitor(&mut session, &schedule, 3);
         let second = &report.per_round[1].slots;
         assert!(
             second.empty > 50,
@@ -169,14 +178,7 @@ mod tests {
     #[test]
     fn arrivals_cause_limited_splitting() {
         let mut session = AbsSession::new();
-        let report = run_rounds(
-            &mut session,
-            400,
-            2,
-            &ChurnModel::new(0.0, 40),
-            &SimConfig::default().with_seed(4),
-        )
-        .unwrap();
+        let report = monitor(&mut session, &arrivals_only(400, 2, 40.0, 4), 4);
         let second = &report.per_round[1].slots;
         assert_eq!(report.population_per_round[1], 440);
         assert_eq!(report.per_round[1].identified, 440);

@@ -78,8 +78,8 @@ use rfid_types::TagId;
 use std::collections::{HashMap, HashSet};
 
 /// Dedicated RNG-stream index for schedule generation, disjoint from the
-/// per-round config seeds `derive_seed(seed, k)`, the legacy rounds-driver
-/// population stream (`u64::MAX`) and the backend stream (`u64::MAX - 3`).
+/// per-round config seeds `derive_seed(seed, k)`, the resolution-noise
+/// master (`u64::MAX - 2`) and the backend stream (`u64::MAX - 3`).
 const SCHEDULE_STREAM: u64 = u64::MAX - 4;
 
 /// How tags enter the read zone and how long they dwell, in rounds.
@@ -435,21 +435,32 @@ fn draw_dwell<R: Rng + ?Sized>(model: &DwellModel, rng: &mut R) -> u64 {
     }
 }
 
-/// Knuth's Poisson sampler — fine for the per-round rates experiments use.
+/// Largest mean one Knuth draw handles. Its stopping limit `exp(-λ)`
+/// underflows near λ ≈ 745, which would cap a draw near there, so larger
+/// rates are split into chunks of at most this mean.
+const POISSON_CHUNK: f64 = 500.0;
+
+/// Poisson(`lambda`) draw: Knuth's sampler on chunks of mean at most
+/// [`POISSON_CHUNK`], summed — a sum of independent Poissons is Poisson
+/// with the summed mean. A rate of at most one chunk is a single Knuth
+/// draw.
 fn poisson_draw<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    let limit = (-lambda).exp();
-    let mut k = 0usize;
-    let mut p = 1.0_f64;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= limit || k > 100_000 {
-            return k;
+    let mut remaining = lambda;
+    let mut total = 0;
+    while remaining > 0.0 {
+        let chunk = remaining.min(POISSON_CHUNK);
+        remaining -= chunk;
+        let limit = (-chunk).exp();
+        let mut p = 1.0_f64;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= limit {
+                break;
+            }
+            total += 1;
         }
-        k += 1;
     }
+    total
 }
 
 /// Continuous-monitoring knobs: how often the reader audits the full
@@ -585,6 +596,18 @@ impl MonitorReport {
     #[must_use]
     pub fn detection_count(&self, kind: MonitorDetectionKind) -> usize {
         self.detections.iter().filter(|d| d.kind == kind).count()
+    }
+
+    /// Mean throughput of the rounds after the first (the warmed-up
+    /// regime); the first round's when there is only one.
+    #[must_use]
+    pub fn warm_throughput(&self) -> f64 {
+        let warm = match self.per_round.as_slice() {
+            [] => return 0.0,
+            [only] => std::slice::from_ref(only),
+            [_, rest @ ..] => rest,
+        };
+        warm.iter().map(|r| r.throughput_tags_per_sec).sum::<f64>() / warm.len() as f64
     }
 }
 
@@ -880,6 +903,75 @@ mod tests {
         assert!(schedule.is_static());
         assert_eq!(schedule.initial().len(), 25);
         assert_eq!(schedule.arrivals(), 0);
+    }
+
+    #[test]
+    fn poisson_draw_mean_holds_past_the_underflow_point() {
+        // The mean of `DRAWS` Poisson(λ) draws has standard error
+        // sqrt(λ / DRAWS); allow five of them.
+        const DRAWS: usize = 200;
+        let mut rng = seeded_rng(17);
+        for lambda in [800.0, 1_500.0, 10_000.0] {
+            let total: usize = (0..DRAWS).map(|_| poisson_draw(&mut rng, lambda)).sum();
+            let mean = total as f64 / DRAWS as f64;
+            let tolerance = 5.0 * (lambda / DRAWS as f64).sqrt();
+            assert!(
+                (mean - lambda).abs() < tolerance,
+                "λ = {lambda}: mean {mean}, tolerance {tolerance}"
+            );
+        }
+    }
+
+    #[test]
+    fn poisson_dwell_leaves_after_each_round_with_the_churn_fraction() {
+        // Mean dwell m = -1/ln(1-d) makes ceil(Exp(m)) geometric: a present
+        // tag leaves after each round with probability d, whatever its age.
+        // A departure count is Binomial(at_risk, d), so the frequency has
+        // standard error sqrt(d(1-d) / at_risk); allow five of them.
+        const TAGS: usize = 20_000;
+        for d in [0.02_f64, 0.1, 0.3] {
+            let model = DwellModel::poisson(0.0, -1.0 / (1.0 - d).ln());
+            let schedule = PopulationSchedule::generate(&model, TAGS, 3, 23);
+            let left_at = |round| {
+                schedule
+                    .events()
+                    .iter()
+                    .filter(|e| e.round == round)
+                    .count()
+            };
+            for (round, at_risk) in [(1, TAGS), (2, TAGS - left_at(1))] {
+                let frequency = left_at(round) as f64 / at_risk as f64;
+                let tolerance = 5.0 * (d * (1.0 - d) / at_risk as f64).sqrt();
+                assert!(
+                    (frequency - d).abs() < tolerance,
+                    "d = {d}, round {round}: frequency {frequency}, tolerance {tolerance}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_throughput_excludes_first_round() {
+        let round = |throughput| {
+            let mut r = InventoryReport::new("x");
+            r.throughput_tags_per_sec = throughput;
+            r
+        };
+        let mut report = MonitorReport {
+            session: "x".into(),
+            per_round: vec![round(100.0), round(300.0), round(500.0)],
+            population_per_round: vec![1, 1, 1],
+            detections: Vec::new(),
+            population_initial: 1,
+            population_seen: 1,
+            unique: 1,
+            unique_present_at_end: 1,
+            unique_departed_after_read: 0,
+            elapsed_us: 0.0,
+        };
+        assert!((report.warm_throughput() - 400.0).abs() < 1e-9);
+        report.per_round.truncate(1);
+        assert!((report.warm_throughput() - 100.0).abs() < 1e-9);
     }
 
     #[test]

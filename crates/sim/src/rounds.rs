@@ -12,13 +12,17 @@
 //!   population estimator).
 //! * [`StatelessSession`] — adapter running any
 //!   [`AntiCollisionProtocol`] fresh every round.
-//! * [`ChurnModel`] + [`run_rounds`] — the population evolution and the
-//!   driver.
+//!
+//! [`crate::population`] drives the sessions: a [`PopulationSchedule`]
+//! fixes the arrivals and departures, and [`run_monitoring`] replays it
+//! round by round.
+//!
+//! [`PopulationSchedule`]: crate::population::PopulationSchedule
+//! [`run_monitoring`]: crate::population::run_monitoring
 
-use crate::{derive_seed, seeded_rng, AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
+use crate::{AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
 use rand::rngs::StdRng;
-use rand::Rng;
-use rfid_types::{population, TagId};
+use rfid_types::TagId;
 
 /// A protocol session carrying state from one inventory round to the next.
 pub trait MultiRoundSession {
@@ -66,255 +70,5 @@ impl<P: AntiCollisionProtocol> MultiRoundSession for StatelessSession<P> {
         rng: &mut StdRng,
     ) -> Result<InventoryReport, SimError> {
         self.protocol.run(tags, config, rng)
-    }
-}
-
-/// Population churn between consecutive rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ChurnModel {
-    /// Fraction of the current population departing after each round.
-    pub departure_fraction: f64,
-    /// New tags arriving after each round.
-    pub arrivals_per_round: usize,
-}
-
-impl ChurnModel {
-    /// No churn: the same tags every round.
-    #[must_use]
-    pub fn none() -> Self {
-        ChurnModel {
-            departure_fraction: 0.0,
-            arrivals_per_round: 0,
-        }
-    }
-
-    /// Creates a churn model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `departure_fraction` is outside `[0, 1]`.
-    #[must_use]
-    pub fn new(departure_fraction: f64, arrivals_per_round: usize) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&departure_fraction),
-            "departure_fraction must be in [0, 1]"
-        );
-        ChurnModel {
-            departure_fraction,
-            arrivals_per_round,
-        }
-    }
-
-    /// Applies one churn step to `tags`.
-    pub fn apply<R: Rng + ?Sized>(&self, tags: &mut Vec<TagId>, rng: &mut R) {
-        if self.departure_fraction > 0.0 {
-            tags.retain(|_| rng.gen::<f64>() >= self.departure_fraction);
-        }
-        if self.arrivals_per_round > 0 {
-            tags.extend(population::uniform(rng, self.arrivals_per_round));
-        }
-    }
-}
-
-/// Outcome of a periodic-reading scenario.
-#[derive(Debug, Clone)]
-pub struct RoundsReport {
-    /// Session name.
-    pub session: String,
-    /// One report per round, in order.
-    pub per_round: Vec<InventoryReport>,
-    /// Population size at the start of each round.
-    pub population_per_round: Vec<usize>,
-}
-
-impl RoundsReport {
-    /// Mean throughput over all rounds.
-    #[must_use]
-    pub fn mean_throughput(&self) -> f64 {
-        if self.per_round.is_empty() {
-            return 0.0;
-        }
-        self.per_round
-            .iter()
-            .map(|r| r.throughput_tags_per_sec)
-            .sum::<f64>()
-            / self.per_round.len() as f64
-    }
-
-    /// Mean throughput of rounds after the first (the warmed-up regime).
-    #[must_use]
-    pub fn warm_throughput(&self) -> f64 {
-        if self.per_round.len() < 2 {
-            return self.mean_throughput();
-        }
-        self.per_round[1..]
-            .iter()
-            .map(|r| r.throughput_tags_per_sec)
-            .sum::<f64>()
-            / (self.per_round.len() - 1) as f64
-    }
-}
-
-/// Drives `rounds` inventory rounds with churn applied between them.
-///
-/// Round `k` uses an RNG derived from `config.seed()` and `k`, so the
-/// scenario is reproducible and every session sees the *same* population
-/// trajectory for a given seed.
-///
-/// # Errors
-///
-/// Propagates round failures; additionally returns
-/// [`SimError::IncompleteInventory`] when a clean-channel round missed
-/// tags.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-pub fn run_rounds<S: MultiRoundSession + ?Sized>(
-    session: &mut S,
-    initial_population: usize,
-    rounds: usize,
-    churn: &ChurnModel,
-    config: &SimConfig,
-) -> Result<RoundsReport, SimError> {
-    assert!(rounds > 0, "rounds must be positive");
-    let mut population_rng = seeded_rng(derive_seed(config.seed(), u64::MAX));
-    let mut tags = population::uniform(&mut population_rng, initial_population);
-    let mut per_round = Vec::with_capacity(rounds);
-    let mut population_per_round = Vec::with_capacity(rounds);
-
-    for round in 0..rounds {
-        population_per_round.push(tags.len());
-        let round_config = config
-            .clone()
-            .with_seed(derive_seed(config.seed(), round as u64));
-        let mut rng = seeded_rng(round_config.seed());
-        let mut report = session.run_round(&tags, &round_config, &mut rng)?;
-        report.finalize();
-        if config.errors().is_clean() && report.identified != tags.len() {
-            return Err(SimError::IncompleteInventory {
-                identified: report.identified,
-                total: tags.len(),
-            });
-        }
-        per_round.push(report.without_ids());
-        churn.apply(&mut tags, &mut population_rng);
-    }
-    Ok(RoundsReport {
-        session: session.name().to_owned(),
-        per_round,
-        population_per_round,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rfid_types::SlotClass;
-
-    struct RollCall;
-
-    impl AntiCollisionProtocol for RollCall {
-        fn name(&self) -> &str {
-            "roll-call"
-        }
-
-        fn run(
-            &self,
-            tags: &[TagId],
-            config: &SimConfig,
-            _rng: &mut StdRng,
-        ) -> Result<InventoryReport, SimError> {
-            let mut report = InventoryReport::new(self.name());
-            for &tag in tags {
-                report.record_slot(SlotClass::Singleton, config.timing().basic_slot_us());
-                report.record_identified(tag);
-            }
-            Ok(report)
-        }
-    }
-
-    #[test]
-    fn stateless_session_runs_all_rounds() {
-        let mut session = StatelessSession::new(RollCall);
-        let report = run_rounds(
-            &mut session,
-            100,
-            5,
-            &ChurnModel::none(),
-            &SimConfig::default().with_seed(1),
-        )
-        .unwrap();
-        assert_eq!(report.per_round.len(), 5);
-        assert!(report.population_per_round.iter().all(|&n| n == 100));
-        assert!(report.mean_throughput() > 0.0);
-        assert_eq!(report.session, "roll-call");
-    }
-
-    #[test]
-    fn churn_changes_population() {
-        let mut session = StatelessSession::new(RollCall);
-        let churn = ChurnModel::new(0.5, 10);
-        let report = run_rounds(
-            &mut session,
-            200,
-            4,
-            &churn,
-            &SimConfig::default().with_seed(2),
-        )
-        .unwrap();
-        assert_eq!(report.population_per_round[0], 200);
-        // Population shrinks towards the churn fixed point (~20).
-        assert!(report.population_per_round[3] < 150);
-        for (round, report) in report.per_round.iter().enumerate() {
-            assert!(report.identified > 0, "round {round}");
-        }
-    }
-
-    #[test]
-    fn population_trajectory_reproducible() {
-        let run = |seed| {
-            let mut session = StatelessSession::new(RollCall);
-            run_rounds(
-                &mut session,
-                100,
-                3,
-                &ChurnModel::new(0.2, 5),
-                &SimConfig::default().with_seed(seed),
-            )
-            .unwrap()
-            .population_per_round
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn warm_throughput_excludes_first_round() {
-        let report = RoundsReport {
-            session: "x".into(),
-            per_round: vec![
-                {
-                    let mut r = InventoryReport::new("x");
-                    r.throughput_tags_per_sec = 100.0;
-                    r
-                },
-                {
-                    let mut r = InventoryReport::new("x");
-                    r.throughput_tags_per_sec = 300.0;
-                    r
-                },
-            ],
-            population_per_round: vec![1, 1],
-        };
-        assert!((report.mean_throughput() - 200.0).abs() < 1e-9);
-        assert!((report.warm_throughput() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "departure_fraction")]
-    fn bad_churn_panics() {
-        let _ = ChurnModel::new(1.5, 0);
     }
 }

@@ -15,7 +15,7 @@
 use anc_rfid::anc::FcatSession;
 use anc_rfid::prelude::*;
 use anc_rfid::protocols::{AbsSession, AqsSession};
-use anc_rfid::sim::rounds::{run_rounds, ChurnModel, MultiRoundSession, StatelessSession};
+use anc_rfid::sim::rounds::{MultiRoundSession, StatelessSession};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -23,13 +23,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds: usize = args.next().map_or(Ok(6), |a| a.parse())?;
     let config = SimConfig::default().with_seed(11);
 
-    for (label, churn) in [
-        ("static shelves (no churn)", ChurnModel::none()),
-        ("light churn (2% out, 2% in)", ChurnModel::new(0.02, n / 50)),
+    // A tag leaves after each round with probability d when its dwell is
+    // exponential with mean -1/ln(1 - d), rounded up to whole rounds.
+    let churn = |d: f64, arrivals: usize| {
+        let model = DwellModel::poisson(arrivals as f64, -1.0 / (1.0 - d).ln());
+        PopulationSchedule::generate(&model, n, rounds, config.seed())
+    };
+    for (label, schedule) in [
         (
-            "heavy churn (30% out, 30% in)",
-            ChurnModel::new(0.3, n * 3 / 10),
+            "static shelves (no churn)",
+            PopulationSchedule::static_population(n, rounds, config.seed()),
         ),
+        ("light churn (2% out, 2% in)", churn(0.02, n / 50)),
+        ("heavy churn (30% out, 30% in)", churn(0.3, n * 3 / 10)),
     ] {
         println!("== {label}, {n} tags, {rounds} rounds ==");
         println!(
@@ -43,14 +49,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(StatelessSession::new(Dfsa::new())),
         ];
         for session in &mut sessions {
-            let report = run_rounds(session.as_mut(), n, rounds, &churn, &config)?;
-            let total_us: f64 = report.per_round.iter().map(|r| r.elapsed_us).sum();
+            let report = run_monitoring(
+                session.as_mut(),
+                &schedule,
+                &MonitorConfig::default(),
+                &config,
+            )?;
             println!(
                 "{:<16} {:>10.1}/s {:>10.1}/s {:>13.1}s",
                 report.session,
                 report.per_round[0].throughput_tags_per_sec,
                 report.warm_throughput(),
-                total_us / 1e6
+                report.elapsed_us / 1e6
             );
         }
         println!();

@@ -2,7 +2,7 @@
 //! §I periodic rounds) with the real protocols.
 
 use anc_rfid::prelude::*;
-use anc_rfid::sim::rounds::{run_rounds, ChurnModel, StatelessSession};
+use anc_rfid::sim::rounds::{MultiRoundSession, StatelessSession};
 use anc_rfid::sim::{multi_site_inventory, Deployment};
 
 #[test]
@@ -44,25 +44,45 @@ fn coverage_gap_detected() {
     assert_eq!(report.unique_tags + report.uncovered, 1_000);
 }
 
+/// The churn row "each present tag leaves after a round with probability
+/// `departure`, `arrivals` tags arrive per round" as a schedule: an
+/// exponential dwell with mean -1/ln(1 - departure), rounded up to whole
+/// rounds, is geometric with exactly that per-round departure chance.
+fn churn_schedule(
+    initial: usize,
+    rounds: usize,
+    departure: f64,
+    arrivals: f64,
+    seed: u64,
+) -> PopulationSchedule {
+    let model = DwellModel::poisson(arrivals, -1.0 / (1.0 - departure).ln());
+    PopulationSchedule::generate(&model, initial, rounds, seed)
+}
+
 #[test]
 fn rounds_with_real_protocols_and_errors() {
     use anc_rfid::sim::ErrorModel;
     let config = SimConfig::default()
         .with_seed(9)
         .with_errors(ErrorModel::new(0.1, 0.05, 0.2));
-    let churn = ChurnModel::new(0.1, 50);
+    let schedule = churn_schedule(500, 4, 0.1, 50.0, config.seed());
     for session_factory in 0..3 {
-        let mut session: Box<dyn anc_rfid::sim::rounds::MultiRoundSession> = match session_factory {
+        let mut session: Box<dyn MultiRoundSession> = match session_factory {
             0 => Box::new(anc_rfid::anc::FcatSession::new(FcatConfig::default())),
             1 => Box::new(anc_rfid::protocols::AbsSession::new()),
             _ => Box::new(StatelessSession::new(Dfsa::new())),
         };
-        let report = run_rounds(session.as_mut(), 500, 4, &churn, &config)
-            .unwrap_or_else(|e| panic!("{}: {e}", session_factory));
+        let report = run_monitoring(
+            session.as_mut(),
+            &schedule,
+            &MonitorConfig::default(),
+            &config,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", session_factory));
         assert_eq!(report.per_round.len(), 4);
         // With errors enabled, each round must still read its population
-        // (the run_rounds harness only enforces this on clean channels, so
-        // check explicitly).
+        // (run_monitoring only enforces this on clean channels, so check
+        // explicitly).
         for (round, (r, n)) in report
             .per_round
             .iter()
@@ -76,28 +96,31 @@ fn rounds_with_real_protocols_and_errors() {
 
 #[test]
 fn session_trajectories_are_comparable() {
-    // All sessions see the identical population trajectory for one seed.
+    // All sessions see the identical population trajectory for one seed:
+    // the same count and, since every round reads everyone, the same tags.
     let config = SimConfig::default().with_seed(3);
-    let churn = ChurnModel::new(0.2, 25);
+    let schedule = churn_schedule(300, 3, 0.2, 25.0, config.seed());
     let mut a = StatelessSession::new(Dfsa::new());
     let mut b = anc_rfid::anc::FcatSession::new(FcatConfig::default());
-    let ra = run_rounds(&mut a, 300, 3, &churn, &config).expect("a");
-    let rb = run_rounds(&mut b, 300, 3, &churn, &config).expect("b");
+    let ra = run_monitoring(&mut a, &schedule, &MonitorConfig::default(), &config).expect("a");
+    let rb = run_monitoring(&mut b, &schedule, &MonitorConfig::default(), &config).expect("b");
     assert_eq!(ra.population_per_round, rb.population_per_round);
+    for (round, (x, y)) in ra.per_round.iter().zip(&rb.per_round).enumerate() {
+        assert_eq!(x.ids, y.ids, "round {round}");
+    }
 }
 
 #[test]
 fn churned_rounds_are_deterministic_per_seed() {
     // Same seed ⇒ identical population trajectory AND identical per-round
-    // reports, slot for slot — churn draws (departures, arrivals) and the
+    // reports, slot for slot — the schedule (departures, arrivals) and the
     // per-round protocol RNG all derive from the run seed.
     let run = |seed: u64| {
         let mut session = StatelessSession::new(Fcat::new(FcatConfig::default()));
-        run_rounds(
+        run_monitoring(
             &mut session,
-            300,
-            4,
-            &ChurnModel::new(0.3, 40),
+            &churn_schedule(300, 4, 0.3, 40.0, seed),
+            &MonitorConfig::default(),
             &SimConfig::default().with_seed(seed),
         )
         .expect("rounds complete")
