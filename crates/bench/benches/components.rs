@@ -1,7 +1,7 @@
-//! Criterion microbenchmarks for the hot components: CRC, slot hash, the
-//! hash-membership scan, MSK modulation/demodulation, the signal-tier
-//! noise/reference/demod kernels, ANC resolution, record-store cascade, and
-//! the frame estimator.
+//! Criterion microbenchmarks for the hot components: CRC, population
+//! generation, slot hash, the hash-membership scan, MSK
+//! modulation/demodulation, the signal-tier noise/reference/demod kernels,
+//! ANC resolution, record-store cascade, and the frame estimator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_anc::CollisionRecordStore;
@@ -13,6 +13,18 @@ fn bench_crc(c: &mut Criterion) {
     let id = TagId::from_payload(0xDEAD_BEEF_CAFE);
     c.bench_function("crc16_value_96bit", |b| {
         b.iter(|| crc::crc16_value(black_box(id.raw_bits()), 96));
+    });
+}
+
+/// The per-tag fixed cost every served site and `run_many` repetition pays
+/// before its first slot: one CRC and one dedup insert per generated tag.
+fn bench_population(c: &mut Criterion) {
+    let mut seed = 0u64;
+    c.bench_function("population_uniform_2000", |b| {
+        b.iter(|| {
+            seed += 1;
+            population::uniform(&mut seeded_rng(seed), black_box(2_000))
+        });
     });
 }
 
@@ -174,6 +186,7 @@ fn bench_binomial_sampling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crc,
+    bench_population,
     bench_hash,
     bench_membership_scan,
     bench_msk,

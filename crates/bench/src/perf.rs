@@ -23,8 +23,10 @@
 //! `*/sampled` cell of the same family and `n`, drops more than
 //! [`GATE_TOLERANCE`] (20%) below the committed ratio. Cells present in
 //! only one of the two files are skipped. Each cell's budget is spread over
-//! five interleaved passes across the matrix, so two cells divided by each
-//! other are timed through the same drifts of a shared host's speed.
+//! five interleaved passes across the matrix, and in every pass a
+//! `*/signal-soa` cell is timed right after its `*/sampled` cell; the gate
+//! takes the median of the five per-pass ratios, so a host stall during
+//! one pass moves one ratio and not the verdict.
 //!
 //! The JSON records which membership-scan kernel ran (`"hash_kernel"`,
 //! see [`rfid_types::hash::membership_kernel`]) and the host's core count
@@ -104,7 +106,7 @@ impl Default for BenchOptions {
             check_allocs: true,
             baseline: None,
             gate: None,
-            out: PathBuf::from("BENCH_PR20.json"),
+            out: PathBuf::from("BENCH_PR22.json"),
         }
     }
 }
@@ -126,6 +128,8 @@ struct Entry {
     identified: usize,
     best_wall_s: f64,
     slots_per_sec: f64,
+    /// Best slots/s within each timing pass, in pass order.
+    pass_slots_per_sec: Vec<f64>,
     iters: u64,
     /// Heap allocations over one full inventory (None without a counter).
     allocs: Option<u64>,
@@ -262,6 +266,7 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
                 identified: report.identified,
                 best_wall_s: f64::INFINITY,
                 slots_per_sec: 0.0,
+                pass_slots_per_sec: Vec::new(),
                 iters: 0,
                 allocs,
                 allocs_per_slot: allocs.map(|a| a as f64 / slots.max(1) as f64),
@@ -275,14 +280,26 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
     // Time the matrix in interleaved passes and keep each cell's best. On
     // a shared host the machine's speed drifts over a run; spreading every
     // cell over the whole run lets cells that are later divided by each
-    // other (the throughput gate) see the same fast and slow phases.
+    // other (the throughput gate) see the same fast and slow phases. Each
+    // signal-soa cell sorts right after its sampled cell, so within a pass
+    // the gate's two timings are taken back to back.
+    let mut order: Vec<(usize, usize)> = (0..cells.len())
+        .map(|i| {
+            let partner = gate_normalizer(cells.iter().map(|c| &c.2), &cells[i].2);
+            (partner.unwrap_or(i), i)
+        })
+        .collect();
+    order.sort_unstable();
     let pass_budget = budget / TIMING_PASSES;
     for _ in 0..TIMING_PASSES {
-        for (runner, tags, e) in &mut cells {
+        for &(_, i) in &order {
+            let (runner, tags, e) = &mut cells[i];
             let m = measure_with_budget(pass_budget, || {
                 runner(tags, &config).expect("bench rerun cannot fail")
             });
-            e.best_wall_s = e.best_wall_s.min(m.best_ns_per_iter * 1e-9);
+            let wall_s = m.best_ns_per_iter * 1e-9;
+            e.best_wall_s = e.best_wall_s.min(wall_s);
+            e.pass_slots_per_sec.push(e.slots as f64 / wall_s);
             e.iters += m.iters;
         }
     }
@@ -379,23 +396,47 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
     Ok(())
 }
 
+/// The position in `cells` of the `*/sampled` cell that normalizes `e` in
+/// the throughput gate: same protocol family and `n`. `None` unless `e` is
+/// a `*/signal-soa` cell with such a partner.
+fn gate_normalizer<'a>(mut cells: impl Iterator<Item = &'a Entry>, e: &Entry) -> Option<usize> {
+    let family = e.name.strip_suffix("/signal-soa")?;
+    cells.position(|c| c.n == e.n && c.name.strip_suffix("/sampled") == Some(family))
+}
+
+/// The median of `a[p] / b[p]` over the passes both cells measured.
+fn median_paired_ratio(a: &[f64], b: &[f64]) -> Option<f64> {
+    let mut ratios: Vec<f64> = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| x / y)
+        .filter(|r| r.is_finite() && *r > 0.0)
+        .collect();
+    if ratios.is_empty() {
+        return None;
+    }
+    ratios.sort_unstable_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    Some(if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    })
+}
+
 /// Enforces the signal-throughput gate: for every `*/signal-soa` cell
 /// present in both this run and the committed gate file, the ratio
 /// signal-soa slots/s ÷ sampled slots/s (same protocol family, same `n`)
 /// must not fall more than [`GATE_TOLERANCE`] below the committed ratio.
+/// This run's ratio is the median over the timing passes of the two cells'
+/// back-to-back per-pass throughputs; the committed ratio is the quotient
+/// of the gate file's best-of-passes `slots_per_sec`.
 /// Normalizing by the sampled cell measured in the same run makes the gate
 /// insensitive to absolute machine speed. The sampled cell draws its
 /// transmitters from a binomial and never runs the membership hash, so
 /// unlike the `*/hash` cell its speed does not depend on which
 /// hash kernel the CPU selects.
 fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
-    let sps = |name: &str, n: usize| -> Option<f64> {
-        entries
-            .iter()
-            .find(|e| e.name == name && e.n == n)
-            .map(|e| e.slots_per_sec)
-            .filter(|v| *v > 0.0)
-    };
     let committed =
         committed_cells(gate, "slots_per_sec").map_err(|e| format!("gate file: {e}"))?;
     let gate_sps = |name: &str, n: usize| -> Option<f64> {
@@ -408,24 +449,23 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
 
     let mut compared = 0usize;
     let mut violations = Vec::new();
-    for e in entries.iter().filter(|e| e.name.contains("/signal-soa")) {
-        let family = e.name.split('/').next().unwrap_or_default();
-        let norm_name = format!("{family}/sampled");
-        let (Some(cur_soa), Some(cur_norm), Some(old_soa), Some(old_norm)) = (
-            sps(&e.name, e.n),
-            sps(&norm_name, e.n),
+    for e in entries {
+        let Some(norm) = gate_normalizer(entries.iter(), e).map(|j| &entries[j]) else {
+            continue;
+        };
+        let (Some(cur_ratio), Some(old_soa), Some(old_norm)) = (
+            median_paired_ratio(&e.pass_slots_per_sec, &norm.pass_slots_per_sec),
             gate_sps(&e.name, e.n),
-            gate_sps(&norm_name, e.n),
+            gate_sps(&norm.name, e.n),
         ) else {
             continue;
         };
         compared += 1;
-        let cur_ratio = cur_soa / cur_norm;
         let old_ratio = old_soa / old_norm;
         let floor = old_ratio * (1.0 - GATE_TOLERANCE);
         println!(
             "gate {:<18} n={:<6} signal/sampled ratio {cur_ratio:.4} \
-             (committed {old_ratio:.4}, floor {floor:.4})",
+             (median of paired passes; committed {old_ratio:.4}, floor {floor:.4})",
             e.name, e.n
         );
         if cur_ratio < floor {
@@ -638,15 +678,25 @@ mod tests {
     }
 
     /// The cells of a committed bench file as this run's measurements, each
-    /// cell's throughput multiplied by `scale(name)`.
+    /// cell's throughput multiplied by `scale(name)` in every one of
+    /// [`TIMING_PASSES`] passes.
     fn measured_scaled(text: &str, scale: impl Fn(&str) -> f64) -> Vec<Entry> {
+        measured_passes(text, |name, _| scale(name))
+    }
+
+    /// The cells of a committed bench file as this run's measurements, each
+    /// cell's throughput in pass `p` multiplied by `scale(name, p)`.
+    fn measured_passes(text: &str, scale: impl Fn(&str, u32) -> f64) -> Vec<Entry> {
         let walls = committed_cells(text, "best_wall_s").unwrap();
         committed_cells(text, "slots_per_sec")
             .unwrap()
             .into_iter()
             .zip(walls)
             .map(|((name, n, slots_per_sec), (_, _, best_wall_s))| Entry {
-                slots_per_sec: slots_per_sec * scale(&name),
+                pass_slots_per_sec: (0..TIMING_PASSES)
+                    .map(|p| slots_per_sec * scale(&name, p))
+                    .collect(),
+                slots_per_sec,
                 name,
                 n,
                 slots: 1,
@@ -670,6 +720,7 @@ mod tests {
             identified: 10_000,
             best_wall_s: 0.2,
             slots_per_sec: 85_000.0,
+            pass_slots_per_sec: vec![85_000.0],
             iters: 3,
             allocs: None,
             allocs_per_slot: None,
@@ -747,12 +798,65 @@ mod tests {
             let err = check_throughput_gate(&slow_signal, BENCH_PR7).unwrap_err();
             assert!(err.contains("signal/sampled"), "{err}");
         }
+        // A stall in one pass, whichever of the two cells it hits, moves one
+        // paired ratio; the median of the five does not move.
+        for stalled in ["/signal-soa", "/sampled"] {
+            let stall = measured_passes(BENCH_PR7, |name, pass| {
+                if pass == 2 && name.ends_with(stalled) {
+                    0.3
+                } else {
+                    1.0
+                }
+            });
+            assert_eq!(
+                check_throughput_gate(&stall, BENCH_PR7),
+                Ok(()),
+                "{stalled}"
+            );
+        }
         // Without a sampled cell there is nothing to normalize by.
         let no_sampled: Vec<Entry> = measured(BENCH_PR7, 1.0)
             .into_iter()
             .filter(|e| !e.name.ends_with("/sampled"))
             .collect();
         assert!(check_throughput_gate(&no_sampled, BENCH_PR7).is_err());
+    }
+
+    #[test]
+    fn median_paired_ratio_pairs_passes_and_skips_unusable_ones() {
+        assert_eq!(
+            median_paired_ratio(&[1.0, 9.0, 3.0], &[1.0, 1.0, 1.0]),
+            Some(3.0)
+        );
+        assert_eq!(median_paired_ratio(&[2.0, 8.0], &[1.0, 2.0]), Some(3.0));
+        assert_eq!(
+            median_paired_ratio(&[4.0, f64::INFINITY], &[2.0, 1.0]),
+            Some(2.0)
+        );
+        assert_eq!(median_paired_ratio(&[1.0], &[0.0]), None);
+        assert_eq!(median_paired_ratio(&[], &[]), None);
+    }
+
+    #[test]
+    fn signal_cells_pair_with_the_sampled_cell_of_their_family_and_n() {
+        let cell = |name: &str, n: usize| {
+            let mut e = measured(BENCH_PR7, 1.0).remove(0);
+            e.name = name.into();
+            e.n = n;
+            e
+        };
+        let cells = [
+            cell("scat2/sampled", 64),
+            cell("scat2/sampled", 2_000),
+            cell("fcat2/sampled", 64),
+            cell("scat2/signal-soa", 64),
+            cell("fcat2/signal-soa", 2_000),
+        ];
+        let partners: Vec<_> = cells
+            .iter()
+            .map(|e| gate_normalizer(cells.iter(), e))
+            .collect();
+        assert_eq!(partners, [None, None, None, Some(0), None]);
     }
 
     #[test]

@@ -23,8 +23,7 @@ use rfid_signal::complex::Complex;
 use rfid_signal::msk::MskConfig;
 use rfid_signal::{anc, cascade};
 use rfid_sim::{noise_stream_seed, CounterRng};
-use rfid_types::{TagId, TAG_ID_BITS};
-use std::collections::HashMap;
+use rfid_types::{TagId, TagMap, TAG_ID_BITS};
 
 /// A newly resolved ID together with the slot index of the record it came
 /// from (FCAT acknowledges resolved tags by this index).
@@ -189,7 +188,7 @@ const WAVE_POOL_MAX: usize = 64;
 /// Tags are *interned* into dense `u32` indices (by the engine at
 /// construction, or lazily by the `TagId` entry points): every per-tag
 /// lookup on the hot path — known?, reverse index, hash state — is then an
-/// array access instead of a SipHash probe. The `TagId`-keyed map survives
+/// array access instead of a hash probe. The `TagId`-keyed map survives
 /// only for interning and the public `TagId` API.
 #[derive(Debug)]
 pub struct CollisionRecordStore {
@@ -197,7 +196,7 @@ pub struct CollisionRecordStore {
     /// Dense index → tag ID.
     tags: Vec<TagId>,
     /// Tag ID → dense index; touched only when interning new tags.
-    index_of: HashMap<TagId, u32>,
+    index_of: TagMap<u32>,
     /// Dense index → outstanding records the tag participates in. Lists of
     /// known tags are dropped: they can never be consulted again.
     by_tag: Vec<InlineVec<INLINE_RECORDS_PER_TAG>>,
@@ -299,7 +298,7 @@ impl CollisionRecordStore {
         CollisionRecordStore {
             records: Vec::new(),
             tags: Vec::new(),
-            index_of: HashMap::new(),
+            index_of: TagMap::default(),
             by_tag: Vec::new(),
             known: Vec::new(),
             known_count: 0,

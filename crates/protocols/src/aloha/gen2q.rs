@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rfid_sim::{AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
-use rfid_types::{SlotClass, TagId};
+use rfid_types::{SlotClass, TagId, TagSet};
 
 /// Configuration of [`Gen2Q`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +92,7 @@ fn remove_read(active: &mut Vec<TagId>, read: &[TagId]) {
     if read.is_empty() {
         return;
     }
-    let read: std::collections::HashSet<TagId> = read.iter().copied().collect();
+    let read: TagSet = read.iter().copied().collect();
     active.retain(|t| !read.contains(t));
 }
 

@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rfid_sim::rounds::MultiRoundSession;
 use rfid_sim::{InventoryReport, SimConfig, SimError};
-use rfid_types::TagId;
-use std::collections::{HashSet, VecDeque};
+use rfid_types::{TagId, TagSet};
+use std::collections::VecDeque;
 
 /// Session-state ABS: keeps the identification order between rounds.
 ///
@@ -70,11 +70,11 @@ impl MultiRoundSession for AbsSession {
         // departed tag's counter is left unclaimed (it will cost one idle
         // slot), and newcomers pick a random existing counter (Myung-Lee's
         // round transition).
-        let current: HashSet<TagId> = tags.iter().copied().collect();
+        let current: TagSet = tags.iter().copied().collect();
         let stack: VecDeque<Vec<TagId>> = if self.previous_order.is_empty() {
             VecDeque::from([tags.to_vec()])
         } else {
-            let known: HashSet<TagId> = self.previous_order.iter().copied().collect();
+            let known: TagSet = self.previous_order.iter().copied().collect();
             let mut groups: Vec<Vec<TagId>> = self
                 .previous_order
                 .iter()

@@ -28,8 +28,7 @@
 
 use crate::{run_inventory, AntiCollisionProtocol, InventoryReport, SimConfig, SimError};
 use rand::Rng;
-use rfid_types::TagId;
-use std::collections::HashSet;
+use rfid_types::{TagId, TagSet};
 
 /// A tag placed at a 2-D position (meters).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -506,7 +505,7 @@ pub(crate) fn merge_site_reports(
     deployment: &Deployment,
     reports: Vec<InventoryReport>,
 ) -> MergedSites {
-    let mut seen: HashSet<TagId> = HashSet::new();
+    let mut seen = TagSet::default();
     let mut per_site = Vec::with_capacity(reports.len());
     let mut cross_site_duplicates = 0usize;
     for report in reports {

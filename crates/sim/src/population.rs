@@ -74,8 +74,7 @@ use rfid_obs::{
     DetectionEvent, DetectionKind as ObsDetectionKind, EventSink, NoopSink, PopulationEvent,
     PopulationEventKind,
 };
-use rfid_types::TagId;
-use std::collections::{HashMap, HashSet};
+use rfid_types::{TagId, TagMap, TagSet};
 
 /// Dedicated RNG-stream index for schedule generation, disjoint from the
 /// per-round config seeds `derive_seed(seed, k)`, the resolution-noise
@@ -393,8 +392,8 @@ impl PopulationSchedule {
     /// (departure `== rounds` when the tag never leaves). Useful for
     /// invariant checking.
     #[must_use]
-    pub fn presence_windows(&self) -> HashMap<TagId, (u64, u64)> {
-        let mut windows: HashMap<TagId, (u64, u64)> = self
+    pub fn presence_windows(&self) -> TagMap<(u64, u64)> {
+        let mut windows: TagMap<(u64, u64)> = self
             .initial
             .iter()
             .map(|&t| (t, (0, self.rounds as u64)))
@@ -659,13 +658,13 @@ where
     assert!(monitor.audit_every > 0, "audit_every must be >= 1");
     let rounds = schedule.rounds();
     let mut present: Vec<TagId> = schedule.initial().to_vec();
-    let mut present_set: HashSet<TagId> = present.iter().copied().collect();
+    let mut present_set: TagSet = present.iter().copied().collect();
     // The reader's belief: tags read and not since declared missing.
-    let mut known: HashSet<TagId> = HashSet::new();
-    let mut ever_read: HashSet<TagId> = HashSet::new();
+    let mut known = TagSet::default();
+    let mut ever_read = TagSet::default();
     // Pending anomalies, keyed by tag: (event round, air time at event).
-    let mut pending_unknown: HashMap<TagId, (usize, f64)> = HashMap::new();
-    let mut pending_missing: HashMap<TagId, (usize, f64)> = HashMap::new();
+    let mut pending_unknown: TagMap<(usize, f64)> = TagMap::default();
+    let mut pending_missing: TagMap<(usize, f64)> = TagMap::default();
     let mut departed_this_round: Vec<TagId> = Vec::new();
 
     let mut per_round = Vec::with_capacity(rounds);

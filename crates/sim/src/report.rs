@@ -1,7 +1,6 @@
 //! Run reports and multi-run aggregation.
 
-use rfid_types::{SlotClass, TagId};
-use std::collections::HashSet;
+use rfid_types::{SlotClass, TagId, TagSet};
 
 /// One slot's worth of trace detail, recorded when
 /// [`crate::SimConfig::with_trace`] is enabled and the protocol supports
@@ -111,7 +110,7 @@ pub struct InventoryReport {
     pub throughput_tags_per_sec: f64,
     /// The distinct identified tags (kept for invariant checking; cleared
     /// by [`InventoryReport::without_ids`] when memory matters).
-    pub ids: HashSet<TagId>,
+    pub ids: TagSet,
     /// Per-slot trace (empty unless tracing was enabled and the protocol
     /// supports it).
     pub trace: Vec<TraceEvent>,
@@ -136,7 +135,7 @@ impl InventoryReport {
             requery_slots: 0,
             elapsed_us: 0.0,
             throughput_tags_per_sec: 0.0,
-            ids: HashSet::new(),
+            ids: TagSet::default(),
             trace: Vec::new(),
             lambda_trajectory: Vec::new(),
         }
@@ -216,7 +215,7 @@ impl InventoryReport {
     /// thousands of runs).
     #[must_use]
     pub fn without_ids(mut self) -> Self {
-        self.ids = HashSet::new();
+        self.ids = TagSet::default();
         self.trace = Vec::new();
         self
     }

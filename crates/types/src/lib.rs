@@ -17,6 +17,8 @@
 //!   (53 kbit/s, 96-bit IDs, 20-bit acknowledgements, 302 µs guard times).
 //! * [`slot`] — the slot-outcome taxonomy (empty / singleton / k-collision).
 //! * [`population`] — tag-population generators for experiments.
+//! * [`TagSet`] / [`TagMap`] — `TagId`-keyed hash containers with a
+//!   folded-multiply hasher in place of SipHash.
 //!
 //! # Example
 //!
@@ -45,7 +47,9 @@ pub mod slot;
 pub mod timing;
 
 mod id;
+mod tag_map;
 
 pub use id::{ParseTagIdError, TagId, PAYLOAD_BITS, TAG_ID_BITS};
 pub use slot::SlotClass;
+pub use tag_map::{TagIdHasher, TagMap, TagSet};
 pub use timing::TimingConfig;

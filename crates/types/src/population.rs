@@ -8,9 +8,8 @@
 //! stress tests and ablations.
 
 use rand::Rng;
-use std::collections::HashSet;
 
-use crate::TagId;
+use crate::{TagId, TagSet};
 
 /// Generates `n` *distinct* tags with uniformly random 80-bit payloads.
 ///
@@ -19,7 +18,7 @@ use crate::TagId;
 /// tag carries a unique identification number"), so we guarantee it.
 #[must_use]
 pub fn uniform<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<TagId> {
-    let mut seen = HashSet::with_capacity(n);
+    let mut seen = TagSet::with_capacity_and_hasher(n, Default::default());
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let payload: u128 = u128::from(rng.gen::<u64>()) << 16 | u128::from(rng.gen::<u16>());
@@ -56,7 +55,7 @@ pub fn clustered<R: Rng + ?Sized>(rng: &mut R, n: usize, clusters: usize) -> Vec
         return Vec::new();
     }
     assert!(clusters > 0, "clusters must be > 0 when n > 0");
-    let mut seen = HashSet::with_capacity(n);
+    let mut seen = TagSet::with_capacity_and_hasher(n, Default::default());
     let mut out = Vec::with_capacity(n);
     let bases: Vec<u128> = (0..clusters)
         .map(|_| u128::from(rng.gen::<u64>() >> 24) << 40)
@@ -80,6 +79,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn uniform_generates_unique_ids() {
