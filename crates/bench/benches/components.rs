@@ -142,7 +142,6 @@ fn bench_record_cascade(c: &mut Criterion) {
                     i as u64,
                     vec![TagId::from_payload(i), TagId::from_payload(i + 1)],
                     true,
-                    None,
                 );
             }
             let resolved = store.learn(TagId::from_payload(0));

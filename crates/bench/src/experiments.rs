@@ -568,9 +568,10 @@ pub fn run_extension_signal(opts: &ExperimentOptions) -> Result<Table, SimError>
 /// collision resolution vs channel noise, one column per recovery policy,
 /// against the best collision-discarding baseline.
 ///
-/// Every cell runs the full protocol: collisions deposit synthesized MSK
-/// waveforms, cascaded subtractions accumulate per-hop residual error, and
-/// failed resolutions are handled by the column's [`RecoveryPolicy`].
+/// Every cell runs the full protocol: collisions deposit records whose MSK
+/// mixtures are synthesized when they are attempted, cascaded subtractions
+/// accumulate per-hop residual error, and failed resolutions are handled
+/// by the column's [`RecoveryPolicy`].
 /// Completeness is structural at any SNR (unresolved tags stay in open
 /// contention), so only throughput may fall as noise rises.
 ///

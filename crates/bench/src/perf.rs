@@ -24,9 +24,11 @@
 //! [`GATE_TOLERANCE`] (20%) below the committed ratio. Cells present in
 //! only one of the two files are skipped. Each cell's budget is spread over
 //! five interleaved passes across the matrix, and in every pass a
-//! `*/signal-soa` cell is timed right after its `*/sampled` cell; the gate
-//! takes the median of the five per-pass ratios, so a host stall during
-//! one pass moves one ratio and not the verdict.
+//! `*/signal-soa` cell is timed right after its `*/sampled` cell; the
+//! ratio is the median of the five per-pass ratios, so a host stall during
+//! one pass moves one ratio and not the verdict. The JSON records that
+//! median for every `*/signal-soa` cell (`"paired_ratio"`), and the gate
+//! compares this run's median with the committed one.
 //!
 //! The JSON records which membership-scan kernel ran (`"hash_kernel"`,
 //! see [`rfid_types::hash::membership_kernel`]) and the host's core count
@@ -37,8 +39,8 @@
 use crate::json::Json;
 use criterion::measure_with_budget;
 use rfid_anc::{
-    BackendModel, CompressedSensing, Fcat, FcatConfig, Membership, Mpr, ResolutionModel, Scat,
-    ScatConfig, SignalResolutionConfig,
+    BackendModel, CompressedSensing, Fcat, FcatConfig, Fidelity, Membership, Mpr, ResolutionModel,
+    Scat, ScatConfig, SignalLevelConfig, SignalResolutionConfig,
 };
 use rfid_protocols::{Abs, Aqs, Dfsa, Edfsa};
 use rfid_sim::{run_inventory, seeded_rng, InventoryReport, SimConfig, SimError};
@@ -54,13 +56,13 @@ use std::time::Duration;
 /// which shrinks toward zero as the run gets longer.
 pub const MAX_ALLOCS_PER_SLOT: f64 = 0.05;
 
-/// Allocation allowance for the signal-backed slot-level entries: the
-/// slot-level budget. Records store only their participants, and the
-/// mixture an attempt synthesizes, the reference cache and the resolve
-/// scratch are buffers reused across the whole run, so steady state pays
-/// only for amortized growth and report-side doublings (0.017–0.026
-/// allocs/slot at n = 2000 in `repro bench --smoke`). A buffer allocated
-/// per record or per attempt would fail it.
+/// Allocation allowance for the signal-backed and signal-level entries:
+/// the slot-level budget. Records store only their participants, and the
+/// mixture an attempt (or a signal-level slot) synthesizes, the reference
+/// cache and the resolve scratch are buffers reused across the whole run,
+/// so steady state pays only for amortized growth and report-side
+/// doublings (0.017–0.026 allocs/slot at n = 2000 in `repro bench
+/// --smoke`). A buffer allocated per slot, record or attempt would fail it.
 pub const MAX_ALLOCS_PER_SLOT_SIGNAL: f64 = 0.05;
 
 /// Allocation allowance for the tree-splitting (ABS) walk. The depth-first
@@ -106,7 +108,7 @@ impl Default for BenchOptions {
             check_allocs: true,
             baseline: None,
             gate: None,
-            out: PathBuf::from("BENCH_PR22.json"),
+            out: PathBuf::from("BENCH_PR25.json"),
         }
     }
 }
@@ -200,6 +202,17 @@ fn protocol_specs() -> Vec<(String, Option<f64>, Runner)> {
         "scat2/signal-soa".into(),
         Some(MAX_ALLOCS_PER_SLOT_SIGNAL),
         Box::new(move |tags, cfg| run_inventory(&signal_scat, tags, cfg)),
+    ));
+    // Signal-level fidelity: every slot's reception is synthesized,
+    // energy-detected and demodulated, and a record rebuilds its slot's
+    // reception when it is attempted. Same allowance.
+    let level_fcat = Fcat::new(
+        FcatConfig::default().with_fidelity(Fidelity::SignalLevel(SignalLevelConfig::default())),
+    );
+    specs.push((
+        "fcat2/signal-level".into(),
+        Some(MAX_ALLOCS_PER_SLOT_SIGNAL),
+        Box::new(move |tags, cfg| run_inventory(&level_fcat, tags, cfg)),
     ));
     let dfsa = Dfsa::new();
     specs.push((
@@ -384,7 +397,7 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
         println!(
             "alloc check: gated entries at n >= {ALLOC_CHECK_MIN_TAGS} stay under \
              their per-entry allocs/slot limits ({MAX_ALLOCS_PER_SLOT} ideal, \
-             {MAX_ALLOCS_PER_SLOT_SIGNAL} signal-backed, {MAX_ALLOCS_PER_SLOT_TREE} tree)"
+             {MAX_ALLOCS_PER_SLOT_SIGNAL} signal, {MAX_ALLOCS_PER_SLOT_TREE} tree)"
         );
     }
 
@@ -402,6 +415,14 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
 fn gate_normalizer<'a>(mut cells: impl Iterator<Item = &'a Entry>, e: &Entry) -> Option<usize> {
     let family = e.name.strip_suffix("/signal-soa")?;
     cells.position(|c| c.n == e.n && c.name.strip_suffix("/sampled") == Some(family))
+}
+
+/// The gate ratio of a `*/signal-soa` cell: the median over the timing
+/// passes of its throughput divided by its `*/sampled` partner's. `None`
+/// for every other cell.
+fn paired_ratio(entries: &[Entry], e: &Entry) -> Option<f64> {
+    let norm = &entries[gate_normalizer(entries.iter(), e)?];
+    median_paired_ratio(&e.pass_slots_per_sec, &norm.pass_slots_per_sec)
 }
 
 /// The median of `a[p] / b[p]` over the passes both cells measured.
@@ -428,40 +449,31 @@ fn median_paired_ratio(a: &[f64], b: &[f64]) -> Option<f64> {
 /// present in both this run and the committed gate file, the ratio
 /// signal-soa slots/s ÷ sampled slots/s (same protocol family, same `n`)
 /// must not fall more than [`GATE_TOLERANCE`] below the committed ratio.
-/// This run's ratio is the median over the timing passes of the two cells'
-/// back-to-back per-pass throughputs; the committed ratio is the quotient
-/// of the gate file's best-of-passes `slots_per_sec`.
+/// Both sides are the same statistic: the median over the timing passes of
+/// the two cells' back-to-back per-pass throughputs ([`paired_ratio`]),
+/// which the gate file records as `"paired_ratio"`.
 /// Normalizing by the sampled cell measured in the same run makes the gate
 /// insensitive to absolute machine speed. The sampled cell draws its
 /// transmitters from a binomial and never runs the membership hash, so
 /// unlike the `*/hash` cell its speed does not depend on which
 /// hash kernel the CPU selects.
 fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
-    let committed =
-        committed_cells(gate, "slots_per_sec").map_err(|e| format!("gate file: {e}"))?;
-    let gate_sps = |name: &str, n: usize| -> Option<f64> {
-        committed
-            .iter()
-            .find(|(cell, cell_n, _)| cell == name && *cell_n == n)
-            .map(|&(_, _, v)| v)
-            .filter(|v| *v > 0.0)
-    };
-
+    let committed = committed_cells(gate, "paired_ratio").map_err(|e| format!("gate file: {e}"))?;
     let mut compared = 0usize;
     let mut violations = Vec::new();
     for e in entries {
-        let Some(norm) = gate_normalizer(entries.iter(), e).map(|j| &entries[j]) else {
+        let Some(cur_ratio) = paired_ratio(entries, e) else {
             continue;
         };
-        let (Some(cur_ratio), Some(old_soa), Some(old_norm)) = (
-            median_paired_ratio(&e.pass_slots_per_sec, &norm.pass_slots_per_sec),
-            gate_sps(&e.name, e.n),
-            gate_sps(&norm.name, e.n),
-        ) else {
+        let Some(old_ratio) = committed
+            .iter()
+            .find(|(cell, cell_n, _)| *cell == e.name && *cell_n == e.n)
+            .map(|&(_, _, v)| v)
+            .filter(|v| *v > 0.0)
+        else {
             continue;
         };
         compared += 1;
-        let old_ratio = old_soa / old_norm;
         let floor = old_ratio * (1.0 - GATE_TOLERANCE);
         println!(
             "gate {:<18} n={:<6} signal/sampled ratio {cur_ratio:.4} \
@@ -480,8 +492,8 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
     }
     if compared == 0 {
         return Err(
-            "throughput gate: no (signal-soa, sampled) cell pair exists in both this \
-                    run and the gate file — check sizes/alloc-check flags"
+            "throughput gate: no (signal-soa, sampled) cell pair of this run has a \
+                    \"paired_ratio\" row in the gate file — check sizes/alloc-check flags"
                 .into(),
         );
     }
@@ -614,6 +626,9 @@ fn render_json(opts: &BenchOptions, entries: &[Entry], speedups: Option<&[Speedu
         if let Some(limit) = e.alloc_limit {
             write!(s, ",\"alloc_limit\":{}", jf(limit)).unwrap();
         }
+        if let Some(ratio) = paired_ratio(entries, e) {
+            write!(s, ",\"paired_ratio\":{}", jf(ratio)).unwrap();
+        }
         s.push('}');
         if i + 1 < entries.len() {
             s.push(',');
@@ -655,6 +670,14 @@ mod tests {
     use std::sync::OnceLock;
 
     const BENCH_PR7: &str = include_str!("../../../BENCH_PR7.json");
+    /// The gate file CI's bench-smoke job reads.
+    const BENCH_PR25: &str = include_str!("../../../BENCH_PR25.json");
+
+    /// A gate file written by this harness from the cells of `text`, as
+    /// measured with no slowdown.
+    fn gate_file(text: &str) -> String {
+        render_json(&BenchOptions::default(), &measured(text, 1.0), None)
+    }
 
     /// A bench file re-serialized the way a JSON formatter would: one key
     /// per line and a space after every `:`.
@@ -742,23 +765,25 @@ mod tests {
 
     #[test]
     fn gate_and_baseline_read_pretty_printed_bench_files() {
-        let pretty = pretty(BENCH_PR7);
-        assert!(pretty.contains("\n    \"name\": \"fcat2/signal-soa\","));
+        let gate = gate_file(BENCH_PR7);
+        let pretty_gate = pretty(&gate);
+        assert!(pretty_gate.contains("\n    \"name\": \"fcat2/signal-soa\","));
         for slowdown in [1.0, 2.0] {
             let entries = measured(BENCH_PR7, slowdown);
             assert_eq!(
-                check_throughput_gate(&entries, &pretty),
-                check_throughput_gate(&entries, BENCH_PR7),
+                check_throughput_gate(&entries, &pretty_gate),
+                check_throughput_gate(&entries, &gate),
                 "slowdown {slowdown}"
             );
         }
         assert_eq!(
-            check_throughput_gate(&measured(BENCH_PR7, 1.0), &pretty),
+            check_throughput_gate(&measured(BENCH_PR7, 1.0), &pretty_gate),
             Ok(())
         );
-        let err = check_throughput_gate(&measured(BENCH_PR7, 2.0), &pretty).unwrap_err();
+        let err = check_throughput_gate(&measured(BENCH_PR7, 2.0), &pretty_gate).unwrap_err();
         assert!(err.contains("throughput regressed"), "{err}");
 
+        let pretty = pretty(BENCH_PR7);
         let entries = measured(BENCH_PR7, 1.0);
         let compact = compute_speedups(&entries, BENCH_PR7).unwrap();
         assert_eq!(compact.len(), entries.len());
@@ -770,6 +795,7 @@ mod tests {
 
     #[test]
     fn gate_ignores_hash_kernel_speed_and_catches_signal_drops() {
+        let gate = gate_file(BENCH_PR7);
         // A host whose membership scan runs 3× faster moves only the
         // `*/hash` cells; the sampled-normalized gate must not notice.
         let fast_hash = measured_scaled(
@@ -782,7 +808,7 @@ mod tests {
                 }
             },
         );
-        assert_eq!(check_throughput_gate(&fast_hash, BENCH_PR7), Ok(()));
+        assert_eq!(check_throughput_gate(&fast_hash, &gate), Ok(()));
         // A 30 % signal-soa drop is past the 20 % tolerance and must fail,
         // whatever the hash cells do.
         for hash_scale in [1.0, 3.0] {
@@ -795,7 +821,7 @@ mod tests {
                     1.0
                 }
             });
-            let err = check_throughput_gate(&slow_signal, BENCH_PR7).unwrap_err();
+            let err = check_throughput_gate(&slow_signal, &gate).unwrap_err();
             assert!(err.contains("signal/sampled"), "{err}");
         }
         // A stall in one pass, whichever of the two cells it hits, moves one
@@ -808,18 +834,50 @@ mod tests {
                     1.0
                 }
             });
-            assert_eq!(
-                check_throughput_gate(&stall, BENCH_PR7),
-                Ok(()),
-                "{stalled}"
-            );
+            assert_eq!(check_throughput_gate(&stall, &gate), Ok(()), "{stalled}");
         }
         // Without a sampled cell there is nothing to normalize by.
         let no_sampled: Vec<Entry> = measured(BENCH_PR7, 1.0)
             .into_iter()
             .filter(|e| !e.name.ends_with("/sampled"))
             .collect();
-        assert!(check_throughput_gate(&no_sampled, BENCH_PR7).is_err());
+        assert!(check_throughput_gate(&no_sampled, &gate).is_err());
+    }
+
+    #[test]
+    fn gate_compares_the_committed_median_paired_ratio() {
+        // The committed side of the gate is the recorded median of paired
+        // passes, never a quotient of best-of-pass throughputs: a file
+        // without `paired_ratio` rows gives the gate nothing to compare.
+        let entries = measured(BENCH_PR7, 1.0);
+        let err = check_throughput_gate(&entries, BENCH_PR7).unwrap_err();
+        assert!(err.contains("no (signal-soa, sampled) cell pair"), "{err}");
+        // One pass reads a ratio three times the others; the recorded
+        // median ignores it.
+        let lucky = measured_passes(BENCH_PR7, |name, pass| {
+            if pass == 0 && name.ends_with("/signal-soa") {
+                3.0
+            } else {
+                1.0
+            }
+        });
+        let gate = render_json(&BenchOptions::default(), &lucky, None);
+        for (name, n, ratio) in committed_cells(&gate, "paired_ratio").unwrap() {
+            let e = entries.iter().find(|e| e.name == name && e.n == n).unwrap();
+            assert_eq!(Some(ratio), paired_ratio(&entries, e), "{name} n={n}");
+        }
+        assert_eq!(check_throughput_gate(&entries, &gate), Ok(()));
+        // The committed gate file records a ratio for each signal cell at the
+        // population the smoke run times.
+        let committed = committed_cells(BENCH_PR25, "paired_ratio").unwrap();
+        for name in ["fcat2/signal-soa", "scat2/signal-soa"] {
+            assert!(
+                committed
+                    .iter()
+                    .any(|(cell, n, r)| cell == name && *n == ALLOC_CHECK_MIN_TAGS && *r > 0.0),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -879,6 +937,14 @@ mod tests {
         assert!(doc.get("nproc").and_then(Json::as_usize) >= Some(1));
         assert!(json.contains("\"name\":\"scat2/hash\""));
         assert!(json.contains("\"name\":\"aqs\""));
+        assert!(json.contains("\"name\":\"fcat2/signal-level\""));
+        let ratios = committed_cells(&json, "paired_ratio").expect("bench JSON parses");
+        let soa_cells = json.matches("/signal-soa\"").count();
+        assert_eq!(
+            ratios.len(),
+            soa_cells,
+            "one paired ratio per signal-soa cell"
+        );
         // Every entry is readable by the same reader used for baselines.
         let cells = committed_cells(&json, "best_wall_s").expect("bench JSON parses");
         assert_eq!(cells.len(), json.matches("\"slots\":").count());

@@ -34,8 +34,12 @@ pub enum Fidelity {
     /// independently drawn channel; the reader demodulates, CRC-checks,
     /// records mixed signals, and resolves records with the actual ANC
     /// least-squares subtraction. Physics — not λ — decides resolvability
-    /// (capture effects and noise failures included). Use with populations
-    /// of at most a few thousand tags.
+    /// (capture effects and noise failures included), and failed records
+    /// are dropped whatever the [`crate::RecoveryPolicy`]. Channel and
+    /// noise come from counter streams keyed on the slot index, not from
+    /// the protocol RNG, so a record rebuilds its slot's reception exactly
+    /// when it is attempted. Use with populations of at most a few
+    /// thousand tags.
     SignalLevel(SignalLevelConfig),
 }
 

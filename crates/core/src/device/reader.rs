@@ -231,7 +231,7 @@ impl ReaderDevice {
                 usable,
             } => {
                 self.nc += 1;
-                let resolved = self.records.add_record(slot, participants, usable, None);
+                let resolved = self.records.add_record(slot, participants, usable);
                 let mut resolved_slots = Vec::with_capacity(resolved.len());
                 for r in resolved {
                     self.collected.push(r.tag);

@@ -16,8 +16,9 @@
 //!   active set, the position map, and the per-tag cached hash state are
 //!   then plain vectors — no SipHash probe anywhere in the loop.
 //! * **No steady-state allocation.** The transmitter list, the resolution
-//!   buffer, and (at signal level) the waveform all live in scratch
-//!   buffers owned by the engine and reused across slots.
+//!   buffer and (at signal level) the demodulated bits live in scratch
+//!   buffers owned by the engine, and a signal-level slot's waveform in
+//!   the record store's, all reused across slots.
 
 use crate::backend::{BackendModel, CollisionContext, CollisionOutcome, RecoveryBackend};
 use crate::config::{Fidelity, Membership};
@@ -30,7 +31,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rfid_obs::{EstimatorEvent, EventSink, LambdaEvent, RecordEvent, RecordEventKind, SlotEvent};
 use rfid_signal::anc;
-use rfid_signal::complex::Complex;
 use rfid_sim::sampling::{pick_distinct_indices_into, sample_binomial};
 use rfid_sim::{derive_seed, ErrorModel, InventoryReport, SimConfig, SimError, TraceEvent};
 use rfid_types::hash::{
@@ -134,12 +134,8 @@ pub(crate) struct Engine<'a, S: EventSink> {
     pos_scratch: Vec<usize>,
     /// Cascade output buffer for the record store.
     resolved_scratch: Vec<(u32, Resolved)>,
-    /// Signal-level: this slot's transmitter IDs (waveform synthesis order).
-    id_scratch: Vec<TagId>,
-    /// Signal-level: this slot's superposed reception.
-    wave_scratch: Vec<Complex>,
-    /// Signal-level: per-component modulation workspace.
-    mix_scratch: anc::MixScratch,
+    /// Signal-level: the bits demodulated from this slot's reception.
+    bits_scratch: Vec<bool>,
     /// Drain buffer for the store's resolution-attempt log.
     attempt_scratch: Vec<ResolutionAttemptLog>,
     /// Drain buffer for the store's resolution-failure log.
@@ -163,20 +159,21 @@ impl<'a, S: EventSink> Engine<'a, S> {
         config: &SimConfig,
         sink: S,
     ) -> Self {
+        let noise_seed = derive_seed(config.seed(), RESOLUTION_RNG_STREAM);
         let mut records = match fidelity {
             // The resolution model only has meaning at slot level; at
-            // signal level the records carry waveforms recorded off the
-            // simulated air and physics already decides every resolution.
+            // signal level every slot's reception comes from the store's
+            // counter streams, a record rebuilds its slot's reception when
+            // it is attempted, and physics decides every resolution.
             Fidelity::SlotLevel => match resolution {
                 ResolutionModel::Ideal => CollisionRecordStore::slot_level(lambda),
-                ResolutionModel::SignalBacked(cfg) => CollisionRecordStore::signal_backed(
-                    lambda,
-                    cfg.clone(),
-                    recovery,
-                    derive_seed(config.seed(), RESOLUTION_RNG_STREAM),
-                ),
+                ResolutionModel::SignalBacked(cfg) => {
+                    CollisionRecordStore::signal_backed(lambda, cfg.clone(), recovery, noise_seed)
+                }
             },
-            Fidelity::SignalLevel(sig) => CollisionRecordStore::signal_level(sig.msk.clone()),
+            Fidelity::SignalLevel(sig) => {
+                CollisionRecordStore::signal_level(sig.clone(), noise_seed)
+            }
         };
         records.set_attempt_logging(S::ENABLED);
         records.reserve_tags(tags.len());
@@ -219,9 +216,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             tx_scratch: Vec::new(),
             pos_scratch: Vec::new(),
             resolved_scratch: Vec::new(),
-            id_scratch: Vec::new(),
-            wave_scratch: Vec::new(),
-            mix_scratch: anc::MixScratch::default(),
+            bits_scratch: Vec::new(),
             attempt_scratch: Vec::new(),
             failure_scratch: Vec::new(),
             lambda_ctl: None,
@@ -444,7 +439,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
     fn harvest_resolutions(&mut self, slot: u64) {
         // The attempt log feeds two consumers: the sink (when enabled) and
         // the adaptive-λ controller (when attached). Drain it whenever
-        // either is present.
+        // either is present. A signal-level store takes no λ gate, so its
+        // attempts never reach the controller and λ never moves there.
+        let feed_lambda = self.records.lambda_gated();
         if S::ENABLED || self.lambda_ctl.is_some() {
             let mut attempts = std::mem::take(&mut self.attempt_scratch);
             debug_assert!(attempts.is_empty());
@@ -461,7 +458,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         },
                     });
                 }
-                if let Some(ctl) = self.lambda_ctl.as_mut() {
+                if let Some(ctl) = self.lambda_ctl.as_mut().filter(|_| feed_lambda) {
                     ctl.observe(a.residual_snr_db);
                 }
             }
@@ -644,19 +641,13 @@ impl<'a, S: EventSink> Engine<'a, S> {
         &mut self,
         transmitters: &[u32],
         usable: bool,
-        signal: Option<Vec<Complex>>,
         rng: &mut StdRng,
         output: &mut SlotOutput,
     ) {
         let mut resolved = std::mem::take(&mut self.resolved_scratch);
         debug_assert!(resolved.is_empty());
-        self.records.add_record_dense(
-            self.slot_index - 1,
-            transmitters,
-            usable,
-            signal,
-            &mut resolved,
-        );
+        self.records
+            .add_record_dense(self.slot_index - 1, transmitters, usable, &mut resolved);
         self.process_resolved(&resolved, rng, output);
         resolved.clear();
         self.resolved_scratch = resolved;
@@ -727,7 +718,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         match self.backend.decide(&ctx) {
             CollisionOutcome::Record => {
                 self.emit_record_created(transmitters.len(), usable);
-                self.deposit_record(transmitters, usable, None, rng, output);
+                self.deposit_record(transmitters, usable, rng, output);
             }
             CollisionOutcome::DecodeAll => self.decode_all(transmitters, rng, output),
             CollisionOutcome::Lost => {}
@@ -775,9 +766,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.resolved_scratch = resolved;
     }
 
-    /// Signal-level classification: synthesize the superposed waveform,
-    /// energy-detect, demodulate, CRC-check. Capture effects and noise
-    /// misclassifications happen when physics says so.
+    /// Signal-level classification: take the slot's superposed reception
+    /// from the record store, energy-detect, demodulate, CRC-check. Capture
+    /// effects and noise misclassifications happen when physics says so.
+    /// Every channel and noise term comes from the store's counter streams
+    /// of this slot, never from `rng`, so a record deposited here rebuilds
+    /// exactly these samples when it is attempted.
     fn run_slot_signal(
         &mut self,
         sig: &crate::config::SignalLevelConfig,
@@ -785,54 +779,46 @@ impl<'a, S: EventSink> Engine<'a, S> {
         rng: &mut StdRng,
         output: &mut SlotOutput,
     ) {
-        let mut ids = std::mem::take(&mut self.id_scratch);
-        ids.clear();
-        ids.extend(transmitters.iter().map(|&idx| self.records.tag_of(idx)));
-        let mut wave = std::mem::take(&mut self.wave_scratch);
-        let mut mix = std::mem::take(&mut self.mix_scratch);
-        anc::transmit_mixed_into(&ids, &sig.msk, &sig.channel, rng, &mut mix, &mut wave);
-        self.mix_scratch = mix;
+        let wave = self
+            .records
+            .slot_reception(self.slot_index - 1, transmitters);
         // Energy detection: the noise floor per complex sample is 2σ²; a
         // +6 dB margin separates "silence" from any real component (whose
         // minimum power is attenuation_lo² ≥ 0.25 by default).
         let noise_floor = 2.0 * sig.channel.noise_std().powi(2);
-        let power = rfid_signal::complex::mean_power(&wave);
+        let power = rfid_signal::complex::mean_power(wave);
         if power <= 4.0 * noise_floor + f64::EPSILON {
             self.report.record_slot(SlotClass::Empty, self.slot_us);
             output.class = Some(SlotClass::Empty);
             debug_assert!(transmitters.is_empty() || sig.channel.noise_std() > 0.0);
-        } else {
-            match anc::decode_singleton(&wave, &sig.msk) {
-                Some(id) if ids.contains(&id) => {
-                    // Clean singleton, or a collision captured by its
-                    // dominant component — either way the reader reads one
-                    // valid ID and the other transmitters (if any) go
-                    // unrecorded.
-                    let idx = transmitters[ids.iter().position(|&t| t == id).unwrap()];
-                    self.report.record_slot(SlotClass::Singleton, self.slot_us);
-                    output.class = Some(SlotClass::Singleton);
-                    self.process_singleton(idx, rng, output);
-                }
-                Some(_) | None => {
-                    // Undecodable mixture (or a CRC-colliding ghost ID,
-                    // which the 2^-16 CRC makes vanishingly rare; the
-                    // reader must not ack an ID nobody sent, so ghosts
-                    // classify as collisions). The record owns its
-                    // waveform; copying into a buffer reclaimed from a
-                    // consumed record keeps the steady state allocation-
-                    // free where a plain clone allocated every slot.
-                    self.report.record_slot(SlotClass::Collision, self.slot_us);
-                    output.class = Some(SlotClass::Collision);
-                    self.emit_record_created(transmitters.len(), true);
-                    let mut copy = self.records.pooled_wave_buffer();
-                    copy.clear();
-                    copy.extend_from_slice(&wave);
-                    self.deposit_record(transmitters, true, Some(copy), rng, output);
-                }
+            return;
+        }
+        let decoded =
+            anc::decode_singleton_with_power(wave, power, &sig.msk, &mut self.bits_scratch);
+        match decoded.and_then(|id| {
+            transmitters
+                .iter()
+                .position(|&t| self.records.tag_of(t) == id)
+        }) {
+            Some(pos) => {
+                // Clean singleton, or a collision captured by its dominant
+                // component — either way the reader reads one valid ID and
+                // the other transmitters (if any) go unrecorded.
+                self.report.record_slot(SlotClass::Singleton, self.slot_us);
+                output.class = Some(SlotClass::Singleton);
+                self.process_singleton(transmitters[pos], rng, output);
+            }
+            None => {
+                // Undecodable mixture (or a CRC-colliding ghost ID, which
+                // the 2^-16 CRC makes vanishingly rare; the reader must not
+                // ack an ID nobody sent, so ghosts classify as collisions).
+                // The record keeps only its participants.
+                self.report.record_slot(SlotClass::Collision, self.slot_us);
+                output.class = Some(SlotClass::Collision);
+                self.emit_record_created(transmitters.len(), true);
+                self.deposit_record(transmitters, true, rng, output);
             }
         }
-        self.id_scratch = ids;
-        self.wave_scratch = wave;
     }
 
     /// Handles a decoded singleton: learn, cascade, acknowledge.
@@ -1033,6 +1019,49 @@ mod tests {
         e.run_slot(1.0, &mut seeded_rng(7), &mut out).unwrap();
         assert_eq!(out.class, Some(SlotClass::Singleton));
         assert_eq!(e.report.identified, 1);
+    }
+
+    #[test]
+    fn attempt_rebuilds_the_reception_the_slot_was_classified_from() {
+        // Three tags reply at p = 1 (hash membership keeps their order)
+        // after two empty slots, so the record's slot index (2) differs
+        // from its index in the store (0).
+        let tags = population::uniform(&mut seeded_rng(13), 3);
+        let fidelity = Fidelity::SignalLevel(SignalLevelConfig::default());
+        let mut e = Engine::new(
+            "t",
+            &tags,
+            2,
+            Membership::Hash,
+            &fidelity,
+            &ResolutionModel::Ideal,
+            RecoveryPolicy::DropRecord,
+            BackendModel::default(),
+            &SimConfig::default(),
+            NoopSink,
+        );
+        let mut rng = seeded_rng(14);
+        let mut out = SlotOutput::default();
+        for _ in 0..2 {
+            e.run_slot(0.0, &mut rng, &mut out).unwrap();
+            assert_eq!(out.class, Some(SlotClass::Empty));
+        }
+        let (mut tx, mut pos) = (Vec::new(), Vec::new());
+        e.fill_transmitters(1.0, &mut rng, &mut tx, &mut pos);
+        assert_eq!(tx.len(), 3);
+        let classified = e.records.slot_reception(2, &tx).to_vec();
+        e.run_slot(1.0, &mut rng, &mut out).unwrap();
+        assert_eq!(out.class, Some(SlotClass::Collision));
+        assert_eq!(e.records.outstanding(), 1);
+        let rebuilt = e.records.attempt_reception(0);
+        assert_eq!(rebuilt.len(), classified.len());
+        for (i, (r, c)) in rebuilt.iter().zip(&classified).enumerate() {
+            assert_eq!(
+                (r.re.to_bits(), r.im.to_bits()),
+                (c.re.to_bits(), c.im.to_bits()),
+                "sample {i}"
+            );
+        }
     }
 
     #[test]

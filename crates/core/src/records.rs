@@ -2,25 +2,26 @@
 //! reader pseudocode of §IV-D).
 //!
 //! Every collision slot deposits a *collision record* — the slot index and
-//! (conceptually) the recorded mixed signal. Whenever the reader learns a
+//! its participants, from which the recorded mixed signal can be rebuilt
+//! exactly (the paper keeps the signal itself). Whenever the reader learns a
 //! new ID — from a singleton slot or from resolving another record — it
 //! checks every outstanding record that ID participated in; a record whose
 //! unknown-participant count drops to one yields the last ID by signal
 //! subtraction, and that ID is fed back into the cascade (the `while S ≠ ∅`
 //! worklist of the pseudocode).
 //!
-//! Every attempt — at deposit and inside the cascade, for the ideal,
-//! recorded and synthesized backends alike — goes through one function,
-//! `try_resolve`. The chain is sequential by nature: the records a newly
-//! learned ID unlocks all contain that ID, so each outcome can change what
-//! the next record sees.
+//! Every attempt — at deposit and inside the cascade, for the ideal and the
+//! signal backend alike — goes through one function, `try_resolve`. The
+//! chain is sequential by nature: the records a newly learned ID unlocks
+//! all contain that ID, so each outcome can change what the next record
+//! sees.
 
+use crate::config::SignalLevelConfig;
 use crate::inline_vec::InlineVec;
 use crate::resolution::{RecoveryPolicy, SignalResolutionConfig};
 use rfid_signal::anc::{ReferenceCache, ResolveScratch};
 use rfid_signal::channel::ChannelModel;
 use rfid_signal::complex::Complex;
-use rfid_signal::msk::MskConfig;
 use rfid_signal::{anc, cascade};
 use rfid_sim::{noise_stream_seed, CounterRng};
 use rfid_types::{TagId, TagMap, TAG_ID_BITS};
@@ -55,10 +56,6 @@ struct Record {
     participants: InlineVec<INLINE_PARTICIPANTS>,
     /// Slot-level: `k ≤ λ` and not spoiled. Signal-level: not corrupted.
     usable: bool,
-    /// The waveform recorded off the simulated air (signal-level
-    /// fidelity). Signal-backed stores keep `None` and synthesize the
-    /// mixture when the record is attempted.
-    signal: Option<Vec<Complex>>,
     consumed: bool,
 }
 
@@ -109,15 +106,25 @@ pub(crate) struct FailedResolution {
 enum Backend {
     /// Slot-level λ gate with ideal recovery (the paper's §VI model).
     Ideal,
-    /// Signal-level fidelity: records carry waveforms recorded off the
-    /// simulated air; resolution runs the real ANC chain on them.
-    Recorded(MskConfig),
-    /// Slot-level protocol with signal-backed resolution: records store
-    /// only their participants, a usable record's mixture is synthesized
-    /// when it is attempted, every channel and noise term comes from the
-    /// record's own counter-based streams, and every resolution runs the
-    /// real ANC chain with per-hop residual accumulation.
-    Synthesized(Box<SignalBackend>),
+    /// Records store only their participants; a record's mixture is
+    /// rebuilt when it is attempted, every channel and noise term comes
+    /// from the record's own counter-based streams, and every resolution
+    /// runs the real ANC chain. Serves both signal tiers ([`SignalTier`]).
+    Signal(Box<SignalBackend>),
+}
+
+/// Which fidelity tier a [`Backend::Signal`] store serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SignalTier {
+    /// [`crate::ResolutionModel::SignalBacked`]: slot-level records, λ
+    /// gated, streams keyed on the record index.
+    Backed,
+    /// [`crate::Fidelity::SignalLevel`]: the engine classifies every slot
+    /// from the mixture [`CollisionRecordStore::slot_reception`] builds,
+    /// so streams key on the slot index, which is known before the engine
+    /// decides whether to deposit. Physics alone decides resolvability: no
+    /// λ gate.
+    Level,
 }
 
 /// Reserved `hop` tags for [`noise_stream_seed`] derivation. Cascade
@@ -131,9 +138,10 @@ const STREAM_CHANNEL_PARAMS: u32 = u32::MAX - 1;
 /// Re-query singleton retransmissions (`record` = re-query counter).
 const STREAM_REQUERY: u32 = u32::MAX;
 
-/// State of the [`Backend::Synthesized`] resolution path.
+/// State of the [`Backend::Signal`] resolution path.
 #[derive(Debug)]
 struct SignalBackend {
+    tier: SignalTier,
     cfg: SignalResolutionConfig,
     policy: RecoveryPolicy,
     /// Master seed of the per-record noise-stream family: channel draws,
@@ -153,8 +161,11 @@ struct SignalBackend {
     /// Scratch: participant IDs for synthesis / known IDs for subtraction.
     ids: Vec<TagId>,
     /// Scratch: the waveform under attempt — a record's mixture with its
-    /// recording noise realized, or a re-query singleton.
+    /// recording noise realized, a signal-level slot's reception, or a
+    /// re-query singleton.
     wave: Vec<Complex>,
+    /// Whole-ID waveform span: the length of a synthesized mixture.
+    span: usize,
     /// Reference waveforms shared by synthesis and every subtraction —
     /// one modulation per distinct ID per cache generation.
     ref_cache: ReferenceCache,
@@ -162,10 +173,69 @@ struct SignalBackend {
     rscratch: ResolveScratch,
 }
 
-/// Upper bound on pooled waveform buffers; beyond this, freed buffers are
-/// dropped (bounds memory if records are consumed much faster than
-/// deposited).
-const WAVE_POOL_MAX: usize = 64;
+impl SignalBackend {
+    fn new(
+        tier: SignalTier,
+        cfg: SignalResolutionConfig,
+        policy: RecoveryPolicy,
+        seed: u64,
+    ) -> Self {
+        SignalBackend {
+            tier,
+            ref_cache: ReferenceCache::new(&cfg.msk),
+            clean_channel: cfg.channel.clone().noiseless(),
+            span: cfg.msk.samples_for_bits(TAG_ID_BITS as usize),
+            cfg,
+            policy,
+            noise_seed: seed,
+            requeries: 0,
+            scratch: anc::MixScratch::default(),
+            ids: Vec::new(),
+            wave: Vec::new(),
+            rscratch: ResolveScratch::default(),
+        }
+    }
+
+    /// Rebuilds record `idx`'s mixture into [`Self::wave`] and returns the
+    /// record coordinate of its counter streams: the slot index for
+    /// signal-level records (the engine classified the slot from these
+    /// samples), the record index for signal-backed ones.
+    fn rebuild(&mut self, tags: &[TagId], idx: usize, record: &Record) -> u64 {
+        let key = match self.tier {
+            SignalTier::Backed => idx as u64,
+            SignalTier::Level => record.slot,
+        };
+        self.synthesize(tags, record.participants.as_slice(), key);
+        key
+    }
+
+    /// Rebuilds into [`Self::wave`] the mixture the reader recorded from
+    /// `participants` (dense indices into `tags`) on the streams of record
+    /// coordinate `key`: the participants' references scaled by gains from
+    /// the channel stream, in the given order, then the receiver AWGN from
+    /// the recording-noise stream. Both are pure functions of `key` and
+    /// the participants, so the samples do not depend on when, or how
+    /// often, they are built.
+    fn synthesize(&mut self, tags: &[TagId], participants: &[u32], key: u64) {
+        self.ids.clear();
+        self.ids
+            .extend(participants.iter().map(|&t| tags[t as usize]));
+        self.wave.resize(self.span, Complex::ZERO);
+        let stream = |hop| CounterRng::new(noise_stream_seed(self.noise_seed, key, hop));
+        anc::transmit_mixed_cached(
+            &self.ids,
+            &self.cfg.msk,
+            &self.clean_channel,
+            &mut stream(STREAM_CHANNEL_PARAMS),
+            &mut self.ref_cache,
+            &mut self.scratch,
+            &mut self.wave,
+        );
+        self.cfg
+            .channel
+            .add_noise(&mut self.wave, &mut stream(STREAM_RECORDING_NOISE));
+    }
+}
 
 /// The reader's set of outstanding collision records plus its set of known
 /// IDs, with cascade resolution.
@@ -178,7 +248,7 @@ const WAVE_POOL_MAX: usize = 64;
 ///
 /// let mut store = CollisionRecordStore::slot_level(2);
 /// let (a, b) = (TagId::from_payload(1), TagId::from_payload(2));
-/// store.add_record(5, vec![a, b], true, None);
+/// store.add_record(5, vec![a, b], true);
 /// // Learning `a` (say, from a later singleton) resolves the record to `b`.
 /// let resolved = store.learn(a);
 /// assert_eq!(resolved.len(), 1);
@@ -204,8 +274,7 @@ pub struct CollisionRecordStore {
     known: Vec<bool>,
     known_count: usize,
     lambda: u32,
-    /// How resolutions are decided (ideal λ gate, recorded waveforms, or
-    /// attempt-time synthesis).
+    /// How resolutions are decided (ideal λ gate or the signal chain).
     backend: Backend,
     /// Records not yet consumed, maintained incrementally so
     /// [`Self::outstanding`] is O(1) (the observability layer reads it
@@ -223,14 +292,6 @@ pub struct CollisionRecordStore {
     /// Failures awaiting a re-query slot; filled only under
     /// [`RecoveryPolicy::Requery`].
     failed_log: Vec<FailedResolution>,
-    /// Owned waveform buffers reclaimed from consumed records, reused by
-    /// the engine's signal-level recording path ([`Self::pooled_wave_buffer`]).
-    pool: Vec<Vec<Complex>>,
-    /// Whole-ID waveform span: the length of a synthesized mixture, and
-    /// pooled buffers are shrunk to at most twice this on return so the
-    /// pool bounds bytes, not just buffer count. Zero disables pooling
-    /// (ideal backend).
-    span: usize,
 }
 
 impl CollisionRecordStore {
@@ -246,12 +307,28 @@ impl CollisionRecordStore {
         CollisionRecordStore::with_backend(lambda, Backend::Ideal)
     }
 
-    /// Creates a signal-level store: resolution runs the real ANC
-    /// subtract-and-decode chain on recorded waveforms, so physics decides
-    /// resolvability.
+    /// Creates a signal-level store ([`crate::Fidelity::SignalLevel`]): a
+    /// record's mixture is rebuilt from the counter streams of its slot
+    /// index — the samples the engine classified in that slot — and
+    /// resolution runs the real ANC subtract-and-decode chain on it, so
+    /// physics decides resolvability. No λ gate, no per-hop residual
+    /// accumulation, and failed records are dropped.
     #[must_use]
-    pub fn signal_level(msk: MskConfig) -> Self {
-        CollisionRecordStore::with_backend(u32::MAX, Backend::Recorded(msk))
+    pub fn signal_level(cfg: SignalLevelConfig, seed: u64) -> Self {
+        let cfg = SignalResolutionConfig {
+            msk: cfg.msk,
+            channel: cfg.channel,
+            residual_per_hop: 0.0,
+        };
+        CollisionRecordStore::with_backend(
+            u32::MAX,
+            Backend::Signal(Box::new(SignalBackend::new(
+                SignalTier::Level,
+                cfg,
+                RecoveryPolicy::DropRecord,
+                seed,
+            ))),
+        )
     }
 
     /// Creates a slot-level store whose resolutions are *signal-backed*
@@ -274,27 +351,16 @@ impl CollisionRecordStore {
         assert!(lambda >= 2, "lambda must be >= 2, got {lambda}");
         CollisionRecordStore::with_backend(
             lambda,
-            Backend::Synthesized(Box::new(SignalBackend {
-                ref_cache: ReferenceCache::new(&cfg.msk),
-                clean_channel: cfg.channel.clone().noiseless(),
+            Backend::Signal(Box::new(SignalBackend::new(
+                SignalTier::Backed,
                 cfg,
                 policy,
-                noise_seed: seed,
-                requeries: 0,
-                scratch: anc::MixScratch::default(),
-                ids: Vec::new(),
-                wave: Vec::new(),
-                rscratch: ResolveScratch::default(),
-            })),
+                seed,
+            ))),
         )
     }
 
     fn with_backend(lambda: u32, backend: Backend) -> Self {
-        let span = match &backend {
-            Backend::Ideal => 0,
-            Backend::Recorded(msk) => msk.samples_for_bits(TAG_ID_BITS as usize),
-            Backend::Synthesized(b) => b.cfg.msk.samples_for_bits(TAG_ID_BITS as usize),
-        };
         CollisionRecordStore {
             records: Vec::new(),
             tags: Vec::new(),
@@ -310,32 +376,41 @@ impl CollisionRecordStore {
             attempt_log: Vec::new(),
             log_attempts: false,
             failed_log: Vec::new(),
-            pool: Vec::new(),
-            span,
         }
     }
 
-    /// Pops a reclaimed waveform buffer (or a fresh one) for the engine's
-    /// signal-level recording path: the buffer a consumed record frees
-    /// comes back here, so the steady state records without allocating.
-    pub(crate) fn pooled_wave_buffer(&mut self) -> Vec<Complex> {
-        self.pool.pop().unwrap_or_default()
+    /// The reception of signal-level slot `slot`, in which the tags behind
+    /// `transmitters` replied: the mixture the engine classifies, and the
+    /// one a record deposited for this slot rebuilds when it is attempted.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is a [`Self::signal_level`] store.
+    pub(crate) fn slot_reception(&mut self, slot: u64, transmitters: &[u32]) -> &[Complex] {
+        match &mut self.backend {
+            Backend::Signal(b) if b.tier == SignalTier::Level => {
+                b.synthesize(&self.tags, transmitters, slot);
+                &b.wave
+            }
+            _ => panic!("slot receptions exist only in a signal-level store"),
+        }
     }
 
-    /// Returns a freed owned waveform to the pool, shrinking buffers whose
-    /// capacity ballooned past twice the expected span so the pool bounds
-    /// bytes as well as count (mixed-length callers can otherwise park
-    /// `WAVE_POOL_MAX` arbitrarily large vectors here forever).
-    fn return_to_pool(pool: &mut Vec<Vec<Complex>>, span: usize, mut wave: Vec<Complex>) {
-        if span == 0 || pool.len() >= WAVE_POOL_MAX {
-            return;
-        }
-        let bound = span * 2;
-        if wave.capacity() > bound {
-            wave.truncate(bound);
-            wave.shrink_to(bound);
-        }
-        pool.push(wave);
+    /// The mixture an attempt of record `idx` rebuilds (test access to the
+    /// rebuild [`Self::try_resolve`] performs).
+    #[cfg(test)]
+    pub(crate) fn attempt_reception(&mut self, idx: usize) -> &[Complex] {
+        let Backend::Signal(b) = &mut self.backend else {
+            panic!("only signal stores rebuild mixtures")
+        };
+        b.rebuild(&self.tags, idx, &self.records[idx]);
+        &b.wave
+    }
+
+    /// Whether the λ gate applies to this store's records (every store but
+    /// a signal-level one).
+    pub(crate) fn lambda_gated(&self) -> bool {
+        !matches!(&self.backend, Backend::Signal(b) if b.tier == SignalTier::Level)
     }
 
     /// Enables (or disables) per-attempt logging for the observability
@@ -363,11 +438,11 @@ impl CollisionRecordStore {
 
     /// Executes a dedicated re-query slot addressed at the tag behind
     /// `idx`: the tag retransmits alone through the channel and the reader
-    /// attempts a singleton decode. Ideal and recorded backends always
-    /// succeed (re-query slots only arise signal-backed).
+    /// attempts a singleton decode. The ideal backend always succeeds
+    /// (re-query slots only arise signal-backed).
     pub(crate) fn requery_singleton(&mut self, idx: u32) -> bool {
         match &mut self.backend {
-            Backend::Synthesized(b) => {
+            Backend::Signal(b) => {
                 let tag = self.tags[idx as usize];
                 b.ids.clear();
                 b.ids.push(tag);
@@ -386,7 +461,7 @@ impl CollisionRecordStore {
                 );
                 anc::decode_singleton(&b.wave, &b.cfg.msk) == Some(tag)
             }
-            _ => true,
+            Backend::Ideal => true,
         }
     }
 
@@ -460,8 +535,7 @@ impl CollisionRecordStore {
     /// effective flag without duplicating the rule.
     #[must_use]
     pub fn usable_at_insert(&self, participants: usize, usable: bool) -> bool {
-        usable
-            && (matches!(self.backend, Backend::Recorded(_)) || participants as u32 <= self.lambda)
+        usable && (!self.lambda_gated() || participants as u32 <= self.lambda)
     }
 
     /// The current λ gate (maximum resolvable collision size).
@@ -490,7 +564,6 @@ impl CollisionRecordStore {
     ///
     /// * `usable` — slot-level: pass `!spoiled` (the λ check happens here);
     ///   signal-level: pass `false` only for receptions ruined beyond use.
-    /// * `signal` — the recorded waveform (signal-level only).
     ///
     /// Duplicate participants are collapsed before any bookkeeping: the
     /// unknown-count rule, the λ gate and the per-tag index all operate on
@@ -503,11 +576,10 @@ impl CollisionRecordStore {
         slot: u64,
         participants: Vec<TagId>,
         usable: bool,
-        signal: Option<Vec<Complex>>,
     ) -> Vec<Resolved> {
         let dense: Vec<u32> = participants.iter().map(|&t| self.intern(t)).collect();
         let mut resolved = Vec::new();
-        self.add_record_dense(slot, &dense, usable, signal, &mut resolved);
+        self.add_record_dense(slot, &dense, usable, &mut resolved);
         resolved.into_iter().map(|(_, r)| r).collect()
     }
 
@@ -522,7 +594,6 @@ impl CollisionRecordStore {
         slot: u64,
         participants: &[u32],
         usable: bool,
-        signal: Option<Vec<Complex>>,
         resolved: &mut Vec<(u32, Resolved)>,
     ) {
         debug_assert!(!participants.is_empty(), "a record needs participants");
@@ -550,7 +621,6 @@ impl CollisionRecordStore {
             slot,
             participants: distinct,
             usable,
-            signal,
             consumed: false,
         });
 
@@ -617,17 +687,12 @@ impl CollisionRecordStore {
         self.worklist = worklist;
     }
 
-    /// Marks record `idx` consumed and returns its recorded waveform, if
-    /// any, to the pool (bounded in count by [`WAVE_POOL_MAX`] and in bytes
-    /// by the shrink in [`Self::return_to_pool`]).
+    /// Marks record `idx` consumed.
     fn consume_record(&mut self, idx: usize) {
         let record = &mut self.records[idx];
         record.consumed = true;
         record.participants.clear();
         self.outstanding -= 1;
-        if let Some(wave) = record.signal.take() {
-            Self::return_to_pool(&mut self.pool, self.span, wave);
-        }
     }
 
     /// Attempts to resolve record `idx` at cascade depth `hop`; returns
@@ -666,39 +731,14 @@ impl CollisionRecordStore {
             // Slot-level ideal: the λ gate already passed; the last
             // unknown participant is recovered.
             Backend::Ideal => Some(last_tag),
-            Backend::Recorded(msk) => {
+            Backend::Signal(b) => {
                 let record = &self.records[idx];
-                match &record.signal {
-                    // Signal-level: subtract the known components, decode,
-                    // CRC — and require the decoded word to be the record's
-                    // actual remaining participant. A noise-corrupted residual
-                    // can demodulate into a different CRC-valid ghost word
-                    // (2^-16 per attempt); acknowledging a tag nobody owns
-                    // would corrupt the inventory, so ghosts count as failed
-                    // attempts (mirrors the engine's singleton-path guard).
-                    Some(signal) => {
-                        let knowns: Vec<TagId> = record
-                            .participants
-                            .as_slice()
-                            .iter()
-                            .filter(|&&t| self.known[t as usize])
-                            .map(|&t| self.tags[t as usize])
-                            .collect();
-                        anc::resolve(signal, &knowns, msk)
-                            .ok()
-                            .filter(|id| *id == last_tag)
-                    }
-                    None => Some(last_tag),
-                }
-            }
-            Backend::Synthesized(b) => {
-                let record = &self.records[idx];
+                // Rebuild the mixture the reader recorded in this slot.
+                let key = b.rebuild(&self.tags, idx, record);
                 let SignalBackend {
                     cfg,
                     policy,
                     noise_seed,
-                    clean_channel,
-                    scratch,
                     ids,
                     wave,
                     ref_cache,
@@ -706,35 +746,7 @@ impl CollisionRecordStore {
                     ..
                 } = &mut **b;
                 let base = cfg.channel.noise_std();
-                let stream = |hop| CounterRng::new(noise_stream_seed(*noise_seed, idx as u64, hop));
-                let signal: &[Complex] = match &record.signal {
-                    Some(recorded) => recorded,
-                    None => {
-                        // Synthesize the mixture the reader recorded in
-                        // this slot: the participants' references scaled by
-                        // gains from the record's channel stream, then the
-                        // receiver AWGN from its recording-noise stream.
-                        // Both are pure functions of the record, so the
-                        // samples do not depend on when it is attempted.
-                        ids.clear();
-                        for &t in record.participants.as_slice() {
-                            ids.push(self.tags[t as usize]);
-                        }
-                        wave.resize(self.span, Complex::ZERO);
-                        anc::transmit_mixed_cached(
-                            ids,
-                            &cfg.msk,
-                            clean_channel,
-                            &mut stream(STREAM_CHANNEL_PARAMS),
-                            ref_cache,
-                            scratch,
-                            wave,
-                        );
-                        cfg.channel
-                            .add_noise(wave, &mut stream(STREAM_RECORDING_NOISE));
-                        wave
-                    }
-                };
+                let stream = |hop| CounterRng::new(noise_stream_seed(*noise_seed, key, hop));
                 ids.clear();
                 for &t in record.participants.as_slice() {
                     if self.known[t as usize] {
@@ -744,9 +756,14 @@ impl CollisionRecordStore {
                 let extra = cascade::cascade_noise_std(base, cfg.residual_per_hop, hop);
                 let mut rng = stream(hop);
                 let attempt = cascade::resolve_cascaded_cached(
-                    signal, ids, &cfg.msk, base, extra, &mut rng, ref_cache, rscratch,
+                    wave, ids, &cfg.msk, base, extra, &mut rng, ref_cache, rscratch,
                 );
-                // Same ghost-ID guard as the recorded backend.
+                // Require the decoded word to be the record's actual
+                // remaining participant. A noise-corrupted residual can
+                // demodulate into a different CRC-valid ghost word (2^-16
+                // per attempt); acknowledging a tag nobody owns would
+                // corrupt the inventory, so ghosts count as failed attempts
+                // (mirrors the engine's singleton-path guard).
                 let mut ok = attempt.recovered.ok().filter(|id| *id == last_tag);
                 if self.log_attempts {
                     self.attempt_log.push(ResolutionAttemptLog {
@@ -762,7 +779,7 @@ impl CollisionRecordStore {
                     // record, without the chain's accumulated
                     // residual (a depth-1 retry; draws nothing).
                     let retry = cascade::resolve_cascaded_cached(
-                        signal, ids, &cfg.msk, base, 0.0, &mut rng, ref_cache, rscratch,
+                        wave, ids, &cfg.msk, base, 0.0, &mut rng, ref_cache, rscratch,
                     );
                     ok = retry.recovered.ok().filter(|id| *id == last_tag);
                     if self.log_attempts {
@@ -786,8 +803,7 @@ impl CollisionRecordStore {
                 ok
             }
         };
-        // A consumed record can never resolve again; free its payload now
-        // (signal-level records hold a full waveform each).
+        // A consumed record can never resolve again.
         self.consume_record(idx);
         match recovered {
             Some(tag) => {
@@ -807,8 +823,7 @@ impl CollisionRecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_signal::{transmit_mixed, ChannelModel};
-    use rfid_sim::seeded_rng;
+    use rfid_signal::msk::MskConfig;
 
     fn tag(n: u128) -> TagId {
         TagId::from_payload(n)
@@ -817,7 +832,7 @@ mod tests {
     #[test]
     fn two_collision_resolves_after_singleton() {
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], true, None);
+        store.add_record(1, vec![tag(1), tag(2)], true);
         assert_eq!(store.outstanding(), 1);
         let resolved = store.learn(tag(1));
         assert_eq!(
@@ -835,7 +850,7 @@ mod tests {
     #[test]
     fn over_lambda_record_never_resolves() {
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2), tag(3)], true, None);
+        store.add_record(1, vec![tag(1), tag(2), tag(3)], true);
         assert!(store.learn(tag(1)).is_empty());
         assert!(store.learn(tag(2)).is_empty());
         // Even knowing 2 of 3, a 3-collision is beyond λ = 2.
@@ -845,7 +860,7 @@ mod tests {
     #[test]
     fn lambda_three_resolves_triple() {
         let mut store = CollisionRecordStore::slot_level(3);
-        store.add_record(1, vec![tag(1), tag(2), tag(3)], true, None);
+        store.add_record(1, vec![tag(1), tag(2), tag(3)], true);
         assert!(store.learn(tag(1)).is_empty());
         let resolved = store.learn(tag(2));
         assert_eq!(
@@ -860,7 +875,7 @@ mod tests {
     #[test]
     fn unusable_record_never_resolves() {
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], false, None);
+        store.add_record(1, vec![tag(1), tag(2)], false);
         assert!(store.learn(tag(1)).is_empty());
         assert_eq!(store.stats().resolved, 0);
     }
@@ -870,9 +885,9 @@ mod tests {
         // Fig. 1(b)'s mechanism, chained: learning t1 resolves (t1,t2);
         // knowing t2 resolves (t2,t3); knowing t3 resolves (t3,t4).
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], true, None);
-        store.add_record(2, vec![tag(2), tag(3)], true, None);
-        store.add_record(3, vec![tag(3), tag(4)], true, None);
+        store.add_record(1, vec![tag(1), tag(2)], true);
+        store.add_record(2, vec![tag(2), tag(3)], true);
+        store.add_record(3, vec![tag(3), tag(4)], true);
         let resolved = store.learn(tag(1));
         let tags: Vec<TagId> = resolved.iter().map(|r| r.tag).collect();
         assert_eq!(tags, vec![tag(2), tag(3), tag(4)]);
@@ -882,7 +897,7 @@ mod tests {
     fn add_record_with_known_participant_resolves_immediately() {
         let mut store = CollisionRecordStore::slot_level(2);
         assert!(store.learn(tag(1)).is_empty());
-        let resolved = store.add_record(9, vec![tag(1), tag(2)], true, None);
+        let resolved = store.add_record(9, vec![tag(1), tag(2)], true);
         assert_eq!(
             resolved,
             vec![Resolved {
@@ -897,7 +912,7 @@ mod tests {
         let mut store = CollisionRecordStore::slot_level(2);
         store.learn(tag(1));
         store.learn(tag(2));
-        let resolved = store.add_record(9, vec![tag(1), tag(2)], true, None);
+        let resolved = store.add_record(9, vec![tag(1), tag(2)], true);
         assert!(resolved.is_empty());
         assert_eq!(store.stats().exhausted, 1);
         assert_eq!(store.outstanding(), 0);
@@ -906,7 +921,7 @@ mod tests {
     #[test]
     fn learning_known_tag_is_noop() {
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], true, None);
+        store.add_record(1, vec![tag(1), tag(2)], true);
         store.learn(tag(1));
         assert!(store.learn(tag(1)).is_empty());
         assert_eq!(store.known_count(), 2);
@@ -916,39 +931,88 @@ mod tests {
     fn tag_in_multiple_records() {
         // One singleton unlocks two records at once.
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], true, None);
-        store.add_record(2, vec![tag(1), tag(3)], true, None);
+        store.add_record(1, vec![tag(1), tag(2)], true);
+        store.add_record(2, vec![tag(1), tag(3)], true);
         let resolved = store.learn(tag(1));
         let mut tags: Vec<TagId> = resolved.iter().map(|r| r.tag).collect();
         tags.sort();
         assert_eq!(tags, vec![tag(2), tag(3)]);
     }
 
+    /// A signal-level store on a channel of the given noise.
+    fn signal_level_store(noise_std: f64) -> CollisionRecordStore {
+        CollisionRecordStore::signal_level(
+            SignalLevelConfig {
+                msk: MskConfig::default(),
+                channel: ChannelModel::default().with_noise_std(noise_std),
+            },
+            3,
+        )
+    }
+
     #[test]
     fn signal_level_resolution_works() {
-        let msk = MskConfig::default();
-        let model = ChannelModel::default().with_noise_std(0.005);
-        let mut rng = seeded_rng(3);
+        let mut store = signal_level_store(0.005);
         let (a, b) = (tag(77), tag(88));
-        let mixed = transmit_mixed(&[a, b], &msk, &model, &mut rng);
-        let mut store = CollisionRecordStore::signal_level(msk);
-        store.add_record(4, vec![a, b], true, Some(mixed));
+        store.add_record(4, vec![a, b], true);
         let resolved = store.learn(a);
         assert_eq!(resolved, vec![Resolved { tag: b, slot: 4 }]);
     }
 
     #[test]
     fn signal_level_noise_failure_counts_attempt() {
-        let msk = MskConfig::default();
-        let model = ChannelModel::default().with_noise_std(0.8); // ~0 dB
-        let mut rng = seeded_rng(5);
+        let mut store = signal_level_store(0.8); // ~0 dB
         let (a, b) = (tag(7), tag(8));
-        let mixed = transmit_mixed(&[a, b], &msk, &model, &mut rng);
-        let mut store = CollisionRecordStore::signal_level(msk);
-        store.add_record(4, vec![a, b], true, Some(mixed));
+        store.add_record(4, vec![a, b], true);
         let resolved = store.learn(a);
         assert!(resolved.is_empty());
         assert_eq!(store.stats().failed_attempts, 1);
+    }
+
+    #[test]
+    fn signal_level_records_ignore_lambda() {
+        // λ = 2 set after construction (as an adaptive-λ controller would)
+        // must not gate a signal-level 3-collision: physics decides.
+        let mut store = signal_level_store(0.005);
+        store.set_lambda(2);
+        let (a, b, c) = (tag(101), tag(202), tag(303));
+        store.add_record(9, vec![a, b, c], true);
+        assert!(store.learn(a).is_empty());
+        assert_eq!(store.learn(b), vec![Resolved { tag: c, slot: 9 }]);
+    }
+
+    #[test]
+    fn signal_level_failures_are_never_requeried() {
+        let mut store = signal_level_store(0.8);
+        let (a, b) = (tag(7), tag(8));
+        store.add_record(4, vec![a, b], true);
+        store.learn(a);
+        assert_eq!(store.stats().failed_attempts, 1);
+        let mut failed = Vec::new();
+        store.swap_failed_log(&mut failed);
+        assert!(failed.is_empty());
+    }
+
+    #[test]
+    fn record_rebuilds_the_reception_of_its_slot() {
+        // The mixture an attempt rebuilds is keyed on the record's slot
+        // index, not its position in the store: record 0 deposited for
+        // slot 17 sees slot 17's reception, after unrelated deposits and
+        // reference-cache resets.
+        let mut store = signal_level_store(0.1);
+        let (a, b) = (tag(0x9E37_79B9_7F4A_7C15), tag(0xF39C_C060_5CED_C835));
+        let (ia, ib) = (store.intern(a), store.intern(b));
+        let at_slot = store.slot_reception(17, &[ia, ib]).to_vec();
+        store.add_record(17, vec![a, b], true);
+        for i in 0..40u128 {
+            let (x, y) = (
+                store.intern(tag(20_000 + i * 2)),
+                store.intern(tag(20_001 + i * 2)),
+            );
+            store.slot_reception(18 + i as u64, &[x, y]);
+        }
+        assert_eq!(store.attempt_reception(0), &at_slot[..]);
+        assert_ne!(store.slot_reception(16, &[ia, ib]), &at_slot[..]);
     }
 
     #[test]
@@ -963,7 +1027,7 @@ mod tests {
         // λ = 2 gate and resolve once `a` is known (before the dedup fix
         // the repeated unknown made the record permanently unresolvable).
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(1), tag(2)], true, None);
+        store.add_record(1, vec![tag(1), tag(1), tag(2)], true);
         assert_eq!(store.outstanding(), 1);
         let resolved = store.learn(tag(1));
         assert_eq!(
@@ -978,7 +1042,7 @@ mod tests {
     #[test]
     fn fully_duplicated_participant_acts_as_singleton_record() {
         let mut store = CollisionRecordStore::slot_level(2);
-        let resolved = store.add_record(3, vec![tag(5), tag(5)], true, None);
+        let resolved = store.add_record(3, vec![tag(5), tag(5)], true);
         assert_eq!(
             resolved,
             vec![Resolved {
@@ -993,9 +1057,9 @@ mod tests {
     #[test]
     fn outstanding_counter_tracks_consumption() {
         let mut store = CollisionRecordStore::slot_level(2);
-        store.add_record(1, vec![tag(1), tag(2)], true, None);
-        store.add_record(2, vec![tag(3), tag(4)], true, None);
-        store.add_record(3, vec![tag(5), tag(6), tag(7)], true, None); // over λ
+        store.add_record(1, vec![tag(1), tag(2)], true);
+        store.add_record(2, vec![tag(3), tag(4)], true);
+        store.add_record(3, vec![tag(5), tag(6), tag(7)], true); // over λ
         assert_eq!(store.outstanding(), 3);
         store.learn(tag(1)); // resolves the (1,2) record
         assert_eq!(store.outstanding(), 2);
@@ -1012,43 +1076,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_bounded_in_count_and_bytes_across_mixed_length_records() {
-        // Regression: returned buffers used to keep whatever capacity they
-        // arrived with — WAVE_POOL_MAX bounded the pool's *count* while a
-        // caller recording oversized mixtures could park unbounded *bytes*
-        // in it. Returns now shrink to at most twice the whole-ID span.
-        let msk = MskConfig::default();
-        let span = msk.samples_for_bits(TAG_ID_BITS as usize);
-        let mut store = CollisionRecordStore::signal_level(msk);
-        for i in 0..200u64 {
-            let a = tag(1_000 + u128::from(i) * 2);
-            let b = tag(1_001 + u128::from(i) * 2);
-            // Mixed-length recordings, some far larger than a whole-ID
-            // span; none demodulates, so every record is consumed as a
-            // failed attempt and its buffer offered back to the pool.
-            let len = if i % 2 == 0 { 16 } else { span * 8 };
-            store.add_record(i, vec![a, b], true, Some(vec![Complex::ZERO; len]));
-            store.learn(a);
-            store.learn(b);
-        }
-        assert!(store.pool.len() <= WAVE_POOL_MAX, "pool count unbounded");
-        let bound = span * 2;
-        for buf in &store.pool {
-            assert!(
-                buf.capacity() <= bound,
-                "pooled buffer holds {} samples of capacity, bound is {bound}",
-                buf.capacity()
-            );
-        }
-    }
-
-    #[test]
     fn usable_at_insert_matches_gate() {
         let slot = CollisionRecordStore::slot_level(2);
         assert!(slot.usable_at_insert(2, true));
         assert!(!slot.usable_at_insert(3, true));
         assert!(!slot.usable_at_insert(2, false));
-        let sig = CollisionRecordStore::signal_level(MskConfig::default());
+        let mut sig = signal_level_store(0.1);
+        sig.set_lambda(2);
         assert!(sig.usable_at_insert(7, true));
         assert!(!sig.usable_at_insert(7, false));
     }
@@ -1059,7 +1093,7 @@ mod tests {
         let cfg = SignalResolutionConfig::default().with_noise_std(noise_std);
         let mut store = CollisionRecordStore::signal_backed(2, cfg, RecoveryPolicy::DropRecord, 17);
         store.set_attempt_logging(true);
-        store.add_record(0, vec![a, b], true, None);
+        store.add_record(0, vec![a, b], true);
         store
     }
 
@@ -1067,13 +1101,6 @@ mod tests {
         let mut log = Vec::new();
         store.swap_attempt_log(&mut log);
         log
-    }
-
-    #[test]
-    fn usable_signal_backed_deposit_holds_no_waveform() {
-        let store = signal_store_with_record(0.1, tag(1), tag(2));
-        assert!(store.records[0].usable);
-        assert!(store.records[0].signal.is_none());
     }
 
     #[test]
@@ -1089,7 +1116,7 @@ mod tests {
             // 240 fresh IDs reset the 32-entry reference cache many times.
             for i in 0..120u128 {
                 let (x, y) = (tag(20_000 + i * 2), tag(20_001 + i * 2));
-                late.add_record(1 + i as u64, vec![x, y], true, None);
+                late.add_record(1 + i as u64, vec![x, y], true);
                 late.learn(x);
             }
             drain_attempts(&mut late);
@@ -1109,47 +1136,6 @@ mod tests {
             // Both outcomes are covered: only the quietest channel resolves.
             assert_eq!(e.success, noise_std < 0.1, "noise {noise_std}");
             assert_eq!(early.is_known(b), late.is_known(b), "noise {noise_std}");
-        }
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The recording pool honors both its bounds under arbitrary
-            /// deposit/consume sequences of mixed-length recordings: at
-            /// most `WAVE_POOL_MAX` buffers, each capped at twice the
-            /// whole-ID span.
-            #[test]
-            fn prop_recording_pool_stays_byte_bounded(
-                lens in proptest::collection::vec(0usize..4, 1..60),
-            ) {
-                let msk = MskConfig::default();
-                let span = msk.samples_for_bits(TAG_ID_BITS as usize);
-                let mut store = CollisionRecordStore::signal_level(msk);
-                for (i, &choice) in lens.iter().enumerate() {
-                    let i = i as u64;
-                    let a = tag(50_000 + u128::from(i) * 2);
-                    let b = tag(50_001 + u128::from(i) * 2);
-                    // Length classes: tiny, whole-ID, double, and 8x span.
-                    let len = [16, span, span * 2, span * 8][choice];
-                    store.add_record(i, vec![a, b], true, Some(vec![Complex::ZERO; len]));
-                    // Consuming the record (zero waveforms never decode, so
-                    // the attempt fails) offers its buffer back to the pool.
-                    store.learn(a);
-                    store.learn(b);
-                    prop_assert!(store.pool.len() <= WAVE_POOL_MAX, "pool count unbounded");
-                    let bound = span * 2;
-                    for buf in &store.pool {
-                        prop_assert!(
-                            buf.capacity() <= bound,
-                            "pooled capacity {} exceeds byte bound {bound}",
-                            buf.capacity()
-                        );
-                    }
-                }
-            }
         }
     }
 }

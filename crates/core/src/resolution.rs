@@ -23,8 +23,9 @@ use rfid_signal::{ChannelModel, MskConfig};
 /// [`Fidelity::SlotLevel`](crate::Fidelity::SlotLevel).
 ///
 /// Ignored under [`Fidelity::SignalLevel`](crate::Fidelity::SignalLevel),
-/// where records carry waveforms recorded off the simulated air and
-/// physics already decides every resolution.
+/// where the reader classifies every slot from a simulated reception and a
+/// record rebuilds its slot's reception from the same counter streams when
+/// it is attempted, so physics already decides every resolution.
 #[derive(Debug, Clone, Default)]
 pub enum ResolutionModel {
     /// Every λ-gated resolution succeeds — reproduces the pre-existing
@@ -32,9 +33,10 @@ pub enum ResolutionModel {
     /// trajectory).
     #[default]
     Ideal,
-    /// Resolutions run the actual ANC subtract-and-decode chain on
-    /// waveforms synthesized at record-deposit time from a dedicated RNG
-    /// stream (the protocol-side RNG trajectory stays untouched).
+    /// Resolutions run the actual ANC subtract-and-decode chain on a
+    /// record's mixture, synthesized when the record is attempted from
+    /// counter streams keyed on the record (the protocol-side RNG
+    /// trajectory stays untouched).
     SignalBacked(SignalResolutionConfig),
 }
 

@@ -159,12 +159,7 @@ pub fn transmit_mixed_into<R: Rng + ?Sized>(
 /// CRC. Returns `None` for empty, collided, or noise-corrupted slots.
 #[must_use]
 pub fn decode_singleton(samples: &[Complex], cfg: &MskConfig) -> Option<TagId> {
-    if mean_power(samples) < EMPTY_RESIDUAL_POWER {
-        return None;
-    }
-    let bits = MskDemodulator::new(cfg.clone()).demodulate(samples);
-    let id = TagId::from_bit_slice(&bits)?;
-    id.crc_is_valid().then_some(id)
+    decode_singleton_with_power(samples, mean_power(samples), cfg, &mut Vec::new())
 }
 
 /// Resolves a collision record: subtracts the waveforms of the `known` IDs
@@ -472,7 +467,7 @@ pub fn transmit_mixed_cached<R: Rng + ?Sized>(
 
 /// Allocation-free [`decode_singleton`] reusing a bit buffer, for a caller
 /// that already holds `power == mean_power(samples)`.
-pub(crate) fn decode_singleton_with_power(
+pub fn decode_singleton_with_power(
     samples: &[Complex],
     power: f64,
     cfg: &MskConfig,

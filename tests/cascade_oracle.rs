@@ -69,7 +69,7 @@ fn duplicate_participants_resolve_as_distinct_set() {
     let mut store = CollisionRecordStore::slot_level(2);
     let a = TagId::from_payload(1);
     let b = TagId::from_payload(2);
-    assert!(store.add_record(0, vec![a, a, b], true, None).is_empty());
+    assert!(store.add_record(0, vec![a, a, b], true).is_empty());
     let resolved = store.learn(a);
     assert_eq!(resolved.len(), 1);
     assert_eq!(resolved[0].tag, b);
@@ -87,15 +87,13 @@ fn participants_known_at_insert_resolve_immediately() {
     let unknown = TagId::from_payload(11);
     assert!(store.learn(known).is_empty());
 
-    let resolved = store.add_record(0, vec![known, unknown], true, None);
+    let resolved = store.add_record(0, vec![known, unknown], true);
     assert_eq!(resolved.len(), 1);
     assert_eq!(resolved[0].tag, unknown);
     assert_eq!(store.outstanding(), 0);
 
     // Fully known at insert: nothing new, nothing left outstanding.
-    assert!(store
-        .add_record(1, vec![known, unknown], true, None)
-        .is_empty());
+    assert!(store.add_record(1, vec![known, unknown], true).is_empty());
     assert_eq!(store.outstanding(), 0);
 }
 
@@ -118,7 +116,7 @@ proptest! {
                 .iter()
                 .map(|&p| TagId::from_payload(p))
                 .collect();
-            for r in store.add_record(slot as u64, tags, *usable, None) {
+            for r in store.add_record(slot as u64, tags, *usable) {
                 known.insert(r.tag.payload());
             }
             if let Some(&learn) = learn_iter.next() {
@@ -171,7 +169,7 @@ proptest! {
                 .iter()
                 .map(|&p| TagId::from_payload(p))
                 .collect();
-            for r in store.add_record(slot as u64, tags, *usable, None) {
+            for r in store.add_record(slot as u64, tags, *usable) {
                 known.insert(r.tag.payload());
             }
         }
@@ -199,7 +197,7 @@ proptest! {
                 .iter()
                 .map(|&p| TagId::from_payload(p))
                 .collect();
-            for r in store.add_record(slot as u64, tags, *usable, None) {
+            for r in store.add_record(slot as u64, tags, *usable) {
                 prop_assert!(participants_union.contains(&r.tag.payload()));
             }
         }

@@ -246,8 +246,9 @@ fn churn_scat2_matches_golden() {
 
 #[test]
 fn churn_fcat2_signal_matches_golden() {
-    // Signal-level fidelity under churn pins the RNG draw order of the
-    // waveform path across rounds with changing populations.
+    // Signal-backed resolution under churn pins the per-record noise
+    // streams of the waveform path across rounds with changing
+    // populations.
     check_churn(
         "churn_fcat2_signal",
         StatelessSession::new(Fcat::new(

@@ -89,6 +89,63 @@ fn signal_level_low_snr_degrades() {
     assert!(noisy.total_slots.mean > clean.total_slots.mean);
 }
 
+/// A λ policy that moves λ at the first decision point after any one
+/// resolution attempt: every residual SNR is below its demote threshold.
+fn hair_trigger_lambda_policy() -> LambdaPolicy {
+    LambdaPolicy::SnrWindow {
+        min_lambda: 2,
+        max_lambda: 4,
+        window: 1,
+        demote_below_db: 1e9,
+        promote_above_db: 1e9,
+    }
+}
+
+#[test]
+fn signal_level_keeps_lambda_and_drops_failed_records() {
+    // Signal-level records take no λ gate, so their resolution attempts
+    // never reach the adaptive-λ controller, and failed records are dropped
+    // whatever the recovery policy. The same policy at slot level with
+    // signal-backed resolution does move λ.
+    use anc_rfid::sim::obs::MetricsSink;
+    use anc_rfid::sim::run_inventory_observed;
+
+    let tags = population::uniform(&mut seeded_rng(43), 200);
+    let config = SimConfig::default()
+        .with_seed(43)
+        .with_lambda_policy(hair_trigger_lambda_policy());
+    let channel = ChannelModel::new((0.7, 1.0), 0.2);
+    let signal_level = FcatConfig::default()
+        .with_lambda(3)
+        .with_recovery(RecoveryPolicy::requery())
+        .with_fidelity(Fidelity::SignalLevel(SignalLevelConfig {
+            msk: MskConfig::default(),
+            channel: channel.clone(),
+        }));
+    let mut sink = MetricsSink::new();
+    let report = run_inventory_observed(&Fcat::new(signal_level), &tags, &config, &mut sink)
+        .expect("signal-level run");
+    let metrics = sink.into_metrics();
+    assert_eq!(report.identified, tags.len());
+    assert!(metrics.resolution_attempts > 0, "no attempts observed");
+    assert!(metrics.records_failed > 0, "no failures to re-query");
+    assert_eq!(report.requery_slots, 0);
+    assert_eq!(metrics.requeries_scheduled, 0);
+    assert_eq!(report.lambda_trajectory.len(), 1, "λ moved");
+    assert_eq!(report.lambda_trajectory[0].lambda, 3);
+
+    let backed =
+        FcatConfig::default()
+            .with_lambda(3)
+            .with_resolution(ResolutionModel::SignalBacked(SignalResolutionConfig {
+                msk: MskConfig::default(),
+                channel,
+                residual_per_hop: 0.0,
+            }));
+    let report = run_inventory(&Fcat::new(backed), &tags, &config).expect("slot-level run");
+    assert!(report.lambda_trajectory.len() > 1, "the policy never fired");
+}
+
 #[test]
 fn message_level_fcat_differential_against_engine() {
     // With a clean channel both executions are deterministic functions of

@@ -6,6 +6,7 @@
 //! recorded alongside. These tests pin both halves of that contract for
 //! SCAT and FCAT.
 
+use anc_rfid::anc::{Fidelity, SignalLevelConfig};
 use anc_rfid::prelude::*;
 use anc_rfid::sim::obs::jsonl::replay;
 use anc_rfid::sim::obs::{JsonlSink, MetricsSink};
@@ -36,7 +37,7 @@ fn traced_and_untraced_run_many_are_identical_scat() {
 /// Runs one inventory plain and once more with a JSONL sink writing into a
 /// buffer; asserts the two reports are equal and that replaying the buffer
 /// reproduces the report's slot-class totals and identified count.
-fn assert_trace_replays<P>(protocol: &P, seed: u64)
+fn assert_trace_replays<P>(protocol: &P, seed: u64) -> replay::TraceSummary
 where
     P: anc_rfid::sim::ObservableProtocol,
 {
@@ -63,6 +64,7 @@ where
     );
     assert_eq!(summary.records_resolved, summary.learned_resolved);
     assert!(summary.estimator_updates > 0, "estimator never reported");
+    summary
 }
 
 #[test]
@@ -73,6 +75,18 @@ fn jsonl_replay_matches_fcat_report() {
 #[test]
 fn jsonl_replay_matches_scat_report() {
     assert_trace_replays(&Scat::new(ScatConfig::default()), 17);
+}
+
+#[test]
+fn signal_level_trace_carries_attempts_and_replays() {
+    // Signal-level records are attempted by the same signal backend as
+    // signal-backed ones, so their traces carry `Attempted` record events.
+    let protocol = Fcat::new(
+        FcatConfig::default().with_fidelity(Fidelity::SignalLevel(SignalLevelConfig::default())),
+    );
+    let summary = assert_trace_replays(&protocol, 19);
+    assert!(summary.resolution_attempts > 0, "no attempts traced");
+    assert!(summary.resolution_attempts >= summary.records_resolved);
 }
 
 #[test]
