@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_anc::CollisionRecordStore;
 use rfid_signal::{anc, cascade, ChannelModel, Complex, MskConfig, MskDemodulator, MskModulator};
 use rfid_sim::{noise_stream_seed, seeded_rng, CounterRng};
-use rfid_types::{crc, hash, population, TagId};
+use rfid_types::{crc, hash, population, simd, TagId};
 
 fn bench_crc(c: &mut Criterion) {
     let id = TagId::from_payload(0xDEAD_BEEF_CAFE);
@@ -182,8 +182,41 @@ fn bench_binomial_sampling(c: &mut Criterion) {
     });
 }
 
+/// The two phases of a 769-pair noise pass (one whole-ID waveform) on a
+/// counter stream: the candidate words and accepted `(u, v, s)`, then the
+/// `ln` of the accepted `s` (eight-lane kernels on AVX-512 hosts).
+fn bench_polar(c: &mut Criterion) {
+    use rand::RngCore;
+    let (mut us, mut vs, mut ss) = ([0.0; 980], [0.0; 980], [0.0; 980]);
+    let mut words = [0u8; 16 * 980];
+    let mut record = 0u64;
+    c.bench_function("polar_candidates_counter_980", |b| {
+        b.iter(|| {
+            record += 1;
+            let mut rng = CounterRng::new(noise_stream_seed(1, record, 2));
+            rng.fill_bytes(&mut words);
+            black_box(simd::polar_candidates(&words, &mut us, &mut vs, &mut ss))
+        });
+    });
+    let mut rng = CounterRng::new(noise_stream_seed(1, 0, 2));
+    rng.fill_bytes(&mut words);
+    let accepted = simd::polar_candidates(&words, &mut us, &mut vs, &mut ss).min(769);
+    let mut logs = [0.0; 769];
+    c.bench_function("ln_into_769", |b| {
+        b.iter(|| simd::ln_into(black_box(&ss[..accepted]), &mut logs));
+    });
+    c.bench_function("f64_ln_769", |b| {
+        b.iter(|| {
+            for (l, s) in logs.iter_mut().zip(black_box(&ss[..accepted])) {
+                *l = s.ln();
+            }
+        });
+    });
+}
+
 criterion_group!(
     benches,
+    bench_polar,
     bench_crc,
     bench_population,
     bench_hash,

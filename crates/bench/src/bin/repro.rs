@@ -28,7 +28,7 @@
 //! / stdin EOF.
 //!
 //! `repro bench` runs the committed perf harness (see [`rfid_bench::perf`])
-//! under a counting global allocator and writes `BENCH_PR25.json` unless
+//! under a counting global allocator and writes `BENCH_PR26.json` unless
 //! `--out` names another file.
 
 use rfid_bench::experiments::{self, ExperimentOptions};

@@ -108,7 +108,7 @@ impl Default for BenchOptions {
             check_allocs: true,
             baseline: None,
             gate: None,
-            out: PathBuf::from("BENCH_PR25.json"),
+            out: PathBuf::from("BENCH_PR26.json"),
         }
     }
 }
@@ -671,7 +671,7 @@ mod tests {
 
     const BENCH_PR7: &str = include_str!("../../../BENCH_PR7.json");
     /// The gate file CI's bench-smoke job reads.
-    const BENCH_PR25: &str = include_str!("../../../BENCH_PR25.json");
+    const BENCH_PR26: &str = include_str!("../../../BENCH_PR26.json");
 
     /// A gate file written by this harness from the cells of `text`, as
     /// measured with no slowdown.
@@ -869,7 +869,7 @@ mod tests {
         assert_eq!(check_throughput_gate(&entries, &gate), Ok(()));
         // The committed gate file records a ratio for each signal cell at the
         // population the smoke run times.
-        let committed = committed_cells(BENCH_PR25, "paired_ratio").unwrap();
+        let committed = committed_cells(BENCH_PR26, "paired_ratio").unwrap();
         for name in ["fcat2/signal-soa", "scat2/signal-soa"] {
             assert!(
                 committed

@@ -1045,6 +1045,30 @@ mod tests {
     }
 
     #[test]
+    fn hash_width_cliff_is_a_wire_error() {
+        // 400 tags at one site with an 8-bit hash: FCAT-2's starting
+        // report probability ω*/400 is below one quantum 2^-8.
+        let shutdown = AtomicBool::new(false);
+        let opts = ServeOptions::default();
+        let request = parse_request(
+            r#"{"tags":400,"seed":3,"hash_bits":8,"spacing":60,"range":100}"#,
+            &opts,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        serve_request(&mut out, &request, &opts, &shutdown).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let last = Json::parse(text.lines().last().unwrap()).unwrap();
+        assert_eq!(
+            last.get("type").and_then(Json::as_str),
+            Some("error"),
+            "{text}"
+        );
+        let message = last.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("exceed the 8-bit hash"), "{message}");
+    }
+
+    #[test]
     fn error_lines_are_valid_json() {
         let line = error_line("bad \"quote\" and \\ and\nnewline");
         let parsed = Json::parse(&line).unwrap();

@@ -218,6 +218,24 @@ impl ObservableProtocol for Scat {
         sink: &mut S,
     ) -> Result<InventoryReport, SimError> {
         let cfg = &self.config;
+
+        // Adaptive λ: SCAT advertises per slot, so its "round" decision
+        // point is every slot — the controller's window gates how often λ
+        // can actually move.
+        let ctl = LambdaController::from_policy(config.lambda_policy(), cfg.lambda);
+        let mut omega = ctl.as_ref().map_or(cfg.omega, LambdaController::omega);
+        // A non-ANC backend replaces the λ-derived ω* with its own optimal
+        // offered load G* (λ is an ANC concept; MPR/CS never deposit
+        // records, so the collision-record calculus behind ω* is moot).
+        let omega_override = cfg.backend.omega_override();
+        if let Some(g) = omega_override {
+            omega = g;
+        }
+        // The hash must cover the population at the protocol's optimal
+        // load (ω* of the starting λ, or the backend's G*); a configured
+        // off-optimum ω, as in Fig. 5's sweep, runs quantized as before.
+        let omega_star = omega_override.unwrap_or_else(|| optimal_omega(cfg.lambda));
+        config.check_hash_width(tags.len(), omega_star)?;
         let mut engine = Engine::new(
             self.name(),
             tags,
@@ -230,20 +248,7 @@ impl ObservableProtocol for Scat {
             config,
             sink,
         );
-
-        // Adaptive λ: SCAT advertises per slot, so its "round" decision
-        // point is every slot — the controller's window gates how often λ
-        // can actually move.
-        let ctl = LambdaController::from_policy(config.lambda_policy(), cfg.lambda);
-        let mut omega = ctl.as_ref().map_or(cfg.omega, LambdaController::omega);
         engine.set_lambda_controller(ctl);
-        // A non-ANC backend replaces the λ-derived ω* with its own optimal
-        // offered load G* (λ is an ANC concept; MPR/CS never deposit
-        // records, so the collision-record calculus behind ω* is moot).
-        let omega_override = cfg.backend.omega_override();
-        if let Some(g) = omega_override {
-            omega = g;
-        }
 
         // Population bootstrap.
         let mut population = cfg

@@ -27,6 +27,8 @@
 //! seed therefore produce byte-identical reports — the test suite enforces
 //! this.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod json;
 pub mod jsonl;

@@ -10,6 +10,7 @@
 
 use crate::complex::Complex;
 use rand::Rng;
+use rfid_types::simd;
 use std::f64::consts::PI;
 
 /// Draws an independent standard-normal *pair* via one Marsaglia polar
@@ -52,48 +53,54 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     standard_normal_pair(rng).0
 }
 
-/// Candidate points per block of [`for_each_standard_normal_pair`]: three
-/// stack arrays of this many `f64`s (3 KiB).
+/// Candidate points per block of [`for_each_standard_normal_pair`]: the
+/// block's generator bytes and four arrays of this many `f64`s (6 KiB).
 const POLAR_BLOCK: usize = 128;
 
 /// Draws `pairs` standard-normal pairs and hands pair `i` to
 /// `emit(i, z0, z1)`, in order — the block form of calling
 /// [`standard_normal_pair`] `pairs` times.
 ///
-/// Each block draws at most as many `(u, v)` candidates as pairs are still
-/// needed, so it never over-draws: the sequential loop would draw every one
-/// of those candidates too (it stops only at its `pairs`-th acceptance),
-/// in the same order, and accept the same ones. The accepted points are
-/// compacted without a branch, and only then transformed, so the
-/// independent `ln`/div/`sqrt` evaluations of a block can overlap instead
-/// of waiting behind a hard-to-predict accept/reject branch. Samples and
-/// the generator's end state are bit-identical to the per-pair loop
-/// (pinned by the tests below for `StdRng` and the counter streams).
+/// Each block runs in two phases. First the candidates: the block draws
+/// the words of at most as many `(u, v)` candidates as pairs are still
+/// needed through one [`rand::RngCore::fill_bytes`] call, and
+/// [`rfid_types::simd::polar_candidates`] keeps the accepted ones in
+/// order. It never over-draws: the sequential loop would draw every one of
+/// those candidates too (it stops only at its `pairs`-th acceptance), in
+/// the same order, and accept the same ones. Then one transform loop
+/// turns each accepted `(u, v, s)` into `(u·f, v·f)` with
+/// `f = √(−2·ln s / s)`, the logarithms taken by
+/// [`rfid_types::simd::ln_into`] (bit for bit `f64::ln`). Samples and the
+/// generator's end state are bit-identical to the per-pair loop (pinned
+/// by the tests below for `StdRng` and the counter streams) for every
+/// generator whose `fill_bytes` writes successive `next_u64` outputs
+/// little-endian, as this workspace's generators do. For
+/// [`CounterRng`](rfid_types::CounterRng) both the words and the
+/// candidates come eight lanes at a time.
 pub(crate) fn for_each_standard_normal_pair<R, F>(rng: &mut R, pairs: usize, mut emit: F)
 where
     R: Rng + ?Sized,
     F: FnMut(usize, f64, f64),
 {
+    let mut words = [0u8; 16 * POLAR_BLOCK];
     let mut us = [0.0f64; POLAR_BLOCK];
     let mut vs = [0.0f64; POLAR_BLOCK];
     let mut ss = [0.0f64; POLAR_BLOCK];
+    let mut scales = [0.0f64; POLAR_BLOCK];
     let mut done = 0;
     while done < pairs {
-        let draws = (pairs - done).min(POLAR_BLOCK);
-        let mut accepted = 0;
-        for _ in 0..draws {
-            let u = rng.gen::<f64>() * 2.0 - 1.0;
-            let v = rng.gen::<f64>() * 2.0 - 1.0;
-            let s = u * u + v * v;
-            // Always store, advance only on acceptance: `accepted` never
-            // exceeds the draw index, so a rejected point is overwritten.
-            us[accepted] = u;
-            vs[accepted] = v;
-            ss[accepted] = s;
-            accepted += usize::from((s > 0.0) & (s < 1.0));
+        let words = &mut words[..16 * (pairs - done).min(POLAR_BLOCK)];
+        rng.fill_bytes(words);
+        let accepted = simd::polar_candidates(words, &mut us, &mut vs, &mut ss);
+        let (ss, scales) = (&ss[..accepted], &mut scales[..accepted]);
+        simd::ln_into(ss, scales);
+        // f = √(−2·ln s / s) in place, in a loop of its own so the
+        // divisions and square roots run in vector lanes (both are
+        // correctly rounded, so lanes change no bit).
+        for (f, &s) in scales.iter_mut().zip(ss) {
+            *f = (-2.0 * *f / s).sqrt();
         }
-        for (j, ((&u, &v), &s)) in us.iter().zip(&vs).zip(&ss).take(accepted).enumerate() {
-            let f = (-2.0 * s.ln() / s).sqrt();
+        for (j, ((&u, &v), &f)) in us.iter().zip(&vs).zip(scales.iter()).enumerate() {
             emit(done + j, u * f, v * f);
         }
         done += accepted;
@@ -502,20 +509,26 @@ mod tests {
     #[test]
     fn block_polar_matches_per_pair_loop_and_rng_end_state() {
         // Same samples to the bit and the same next draw afterwards, for
-        // lengths around the 128-candidate block edge and a whole-ID
-        // waveform, on the sequential generator and the counter streams.
-        for len in [0usize, 1, 127, 128, 129, 769] {
+        // lengths 0–17, around the 128-candidate block edge, a whole-ID
+        // waveform and 5 000 pairs, on the sequential generator and on
+        // thousands of counter streams (the eight-lane kernels' path).
+        let mut lengths: Vec<usize> = (0..=17).collect();
+        lengths.extend([127, 128, 129, 769, 5_000]);
+        for &len in &lengths {
             for seed in [0u64, 5, 0xDEAD_BEEF] {
                 assert_eq!(
                     block_helper(StdRng::seed_from_u64(seed), len),
                     per_pair_loop(StdRng::seed_from_u64(seed), len),
                     "StdRng seed {seed} len {len}"
                 );
-                let stream = rfid_sim::noise_stream_seed(seed, 17, 3);
+            }
+            let streams = if len <= 129 { 2_000 } else { 200 };
+            for record in 0..streams {
+                let stream = rfid_sim::noise_stream_seed(7, record, 3);
                 assert_eq!(
                     block_helper(rfid_sim::CounterRng::new(stream), len),
                     per_pair_loop(rfid_sim::CounterRng::new(stream), len),
-                    "CounterRng seed {seed} len {len}"
+                    "CounterRng record {record} len {len}"
                 );
             }
         }

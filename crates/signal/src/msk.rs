@@ -154,13 +154,19 @@ impl MskModulator {
         theta0: f64,
         out: &mut [Complex],
     ) {
-        self.synthesize::<false>(bits, amplitude, theta0, out);
+        self.synthesize::<false, true>(bits, amplitude, theta0, out);
     }
 
     /// Writes the waveform into `out` and, when `SELF_INNER`, returns
     /// `inner_product(out, out)` accumulated in the same pass (same terms,
     /// same order, so the same bits); otherwise returns zero.
-    fn synthesize<const SELF_INNER: bool>(
+    ///
+    /// `ROTATE = false` is the unit-rotor form for `amplitude = 1`,
+    /// `theta0 = 0`: the base rotor is then exactly `1 + 0i`, and
+    /// `(1 + 0i)·table[k]` is `table[k]` bit for bit (no table entry has a
+    /// negative zero, pinned by a test), so the samples are copied from
+    /// the table instead of multiplied.
+    fn synthesize<const SELF_INNER: bool, const ROTATE: bool>(
         &self,
         bits: &[bool],
         amplitude: f64,
@@ -195,7 +201,11 @@ impl MskModulator {
                     (false, 0) => last,
                     (false, k) => k - 1,
                 };
-                *s = base * self.table[k];
+                *s = if ROTATE {
+                    base * self.table[k]
+                } else {
+                    self.table[k]
+                };
                 if SELF_INNER {
                     self_inner += *s * s.conj();
                 }
@@ -219,7 +229,7 @@ impl MskModulator {
     /// [`MskModulator::reference`] onto a pre-sized slice (see
     /// [`MskModulator::modulate_to_slice`]).
     pub fn reference_to_slice(&self, bits: &[bool], out: &mut [Complex]) {
-        self.modulate_to_slice(bits, 1.0, 0.0, out);
+        self.synthesize::<false, false>(bits, 1.0, 0.0, out);
     }
 
     /// [`MskModulator::reference_to_slice`] that also returns the
@@ -231,7 +241,7 @@ impl MskModulator {
         bits: &[bool],
         out: &mut [Complex],
     ) -> Complex {
-        self.synthesize::<true>(bits, 1.0, 0.0, out)
+        self.synthesize::<true, false>(bits, 1.0, 0.0, out)
     }
 }
 
@@ -307,6 +317,42 @@ impl MskDemodulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_rotor_references_copy_the_table_bit_for_bit() {
+        // The copy path must equal `(1 + 0i)·table[k]` exactly: no table
+        // entry may carry a signed zero the multiply would flip.
+        for spb in [1u32, 2, 3, 4, 8, 16] {
+            let m = MskModulator::new(MskConfig::new(spb));
+            let one = Complex::from_polar(1.0, 0.0);
+            for &t in &m.table {
+                let z = one * t;
+                assert_eq!(
+                    (z.re.to_bits(), z.im.to_bits()),
+                    (t.re.to_bits(), t.im.to_bits())
+                );
+            }
+            for payload in [0u128, 1, 0xDEAD_BEEF, u128::MAX >> 32] {
+                let mut bits = Vec::new();
+                rfid_types::TagId::from_payload(payload).write_bits(&mut bits);
+                let len = m.config.samples_for_bits(bits.len());
+                let (mut copied, mut rotated) =
+                    (vec![Complex::ZERO; len], vec![Complex::ZERO; len]);
+                let inner = m.reference_to_slice_with_self_inner(&bits, &mut copied);
+                let want = m.synthesize::<true, true>(&bits, 1.0, 0.0, &mut rotated);
+                let bits_of = |v: &[Complex]| {
+                    v.iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits_of(&copied), bits_of(&rotated), "spb {spb}");
+                assert_eq!(bits_of(&[inner]), bits_of(&[want]), "spb {spb}");
+                let mut plain = vec![Complex::ZERO; len];
+                m.reference_to_slice(&bits, &mut plain);
+                assert_eq!(bits_of(&plain), bits_of(&rotated), "spb {spb}");
+            }
+        }
+    }
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

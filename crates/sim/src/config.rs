@@ -349,6 +349,29 @@ impl SimConfig {
         self.hash_bits
     }
 
+    /// Checks that `tags` tags can start at report probability `ω/N`,
+    /// where `ω` is the protocol's optimal load: the `l`-bit threshold
+    /// realizes no probability below one quantum `2^-l`
+    /// (`rfid_types::hash::effective_probability`), so above `N = ω·2^l`
+    /// every tag transmits more often than the optimum asks and the first
+    /// frames run overloaded. Sampled membership quantizes the same way,
+    /// so the check holds under both memberships.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::HashWidthExceeded`] when `tags > ⌊ω·2^l⌋`.
+    pub fn check_hash_width(&self, tags: usize, omega: f64) -> Result<(), SimError> {
+        let max_tags = (omega * (1u64 << self.hash_bits) as f64).floor() as u64;
+        if tags as u64 > max_tags {
+            return Err(SimError::HashWidthExceeded {
+                tags,
+                hash_bits: self.hash_bits,
+                max_tags,
+            });
+        }
+        Ok(())
+    }
+
     /// Returns this configuration with a worker count. The value is
     /// accepted and validated but has no effect: collision records resolve
     /// on one sequential chain (each learned ID unlocks the next record),

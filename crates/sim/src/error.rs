@@ -25,6 +25,19 @@ pub enum SimError {
         /// Total tags in the population.
         total: usize,
     },
+    /// The advertisement hash is too narrow for the population: the
+    /// starting report probability at the protocol's optimal load, `ω/N`,
+    /// lies below one hash quantum `2^-l`, so the `l`-bit threshold cannot
+    /// express it and the first frames run overloaded (§IV-A;
+    /// `N > ω·2^l`).
+    HashWidthExceeded {
+        /// Tags in the population.
+        tags: usize,
+        /// The hash width `l`.
+        hash_bits: u32,
+        /// The largest population this width and `ω` admit, `⌊ω·2^l⌋`.
+        max_tags: u64,
+    },
     /// A protocol received a configuration it cannot operate with.
     InvalidParameter {
         /// Human-readable description of the offending parameter.
@@ -49,6 +62,16 @@ impl fmt::Display for SimError {
                     "inventory ended with {identified}/{total} tags identified"
                 )
             }
+            SimError::HashWidthExceeded {
+                tags,
+                hash_bits,
+                max_tags,
+            } => write!(
+                f,
+                "{tags} tags exceed the {hash_bits}-bit hash: the starting report \
+                 probability falls below one hash quantum above {max_tags} tags \
+                 (raise hash_bits)"
+            ),
             SimError::InvalidParameter { message } => {
                 write!(f, "invalid parameter: {message}")
             }

@@ -6,8 +6,11 @@
 //! step, which guarantees independent-looking streams without coordination.
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rfid_types::hash::splitmix64;
+/// The counter-based noise stream, defined next to `splitmix64` in
+/// `rfid_types` so the eight-lane kernels there can draw from it.
+pub use rfid_types::CounterRng;
 
 /// Creates the standard simulation RNG from a seed.
 #[must_use]
@@ -23,9 +26,6 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 pub fn derive_seed(master: u64, index: u64) -> u64 {
     splitmix64(master ^ splitmix64(index.wrapping_add(0x9E37_79B9)))
 }
-
-/// The SplitMix64 increment (Weyl constant).
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Derives the seed of one *noise stream* in the `(master, record, hop)`
 /// family used by signal-backed resolution.
@@ -46,59 +46,10 @@ pub fn noise_stream_seed(master: u64, record: u64, hop: u32) -> u64 {
     splitmix64(splitmix64(master ^ splitmix64(record)) ^ u64::from(hop))
 }
 
-/// A counter-based SplitMix64 generator: output `i` is
-/// `finalize(seed + (i + 1)·γ)` — the canonical SplittableRandom sequence.
-///
-/// Unlike the ChaCha-based [`StdRng`], construction is free (one `u64`) and
-/// each output is three multiplies and some shifts, so signal-backed
-/// resolution can afford a *fresh* stream per `(record, hop)` pair instead
-/// of threading one sequential generator through the whole run. Statistical
-/// quality is ample for AWGN synthesis (SplitMix64 passes BigCrush); it is
-/// **not** a cryptographic generator.
-#[derive(Debug, Clone)]
-pub struct CounterRng {
-    state: u64,
-}
-
-impl CounterRng {
-    /// Creates the stream rooted at `seed` (see [`noise_stream_seed`]).
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        CounterRng { state: seed }
-    }
-}
-
-impl RngCore for CounterRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // `splitmix64` already folds one γ increment into its finalizer,
-        // so stepping the state by γ afterwards yields exactly
-        // `finalize(seed + (i + 1)·γ)` per call.
-        let out = splitmix64(self.state);
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        out
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rest = chunks.into_remainder();
-        if !rest.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rest.copy_from_slice(&bytes[..rest.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
 
     #[test]
     fn same_seed_same_stream() {

@@ -16,12 +16,14 @@
 //! below and by the chi-squared property test in `rfid-sim`).
 
 use crate::TagId;
+use rand::RngCore;
 
 /// SplitMix64's additive constant and its two multipliers, shared by
-/// [`splitmix64`] and the eight-lane scan.
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
-const MIX2: u64 = 0x94D0_49BB_1331_11EB;
+/// [`splitmix64`], [`CounterRng`] and the eight-lane kernels in
+/// [`crate::simd`].
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// Mixes one 64-bit word with the SplitMix64 finalizer.
 #[inline]
@@ -31,6 +33,52 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(MIX1);
     x = (x ^ (x >> 27)).wrapping_mul(MIX2);
     x ^ (x >> 31)
+}
+
+/// A counter-based SplitMix64 generator: output `i` is
+/// `finalize(seed + (i + 1)·γ)` — the canonical SplittableRandom sequence.
+///
+/// Unlike the sequential `StdRng`, construction is free (one `u64`) and
+/// each output is three multiplies and some shifts, so signal-backed
+/// resolution can afford a *fresh* stream per `(record, hop)` pair instead
+/// of threading one sequential generator through the whole run. Because
+/// output `i` depends only on `i`, [`RngCore::fill_bytes`] computes eight
+/// outputs at a time ([`crate::simd::fill_counter_bytes`]), with the same
+/// bytes as successive [`RngCore::next_u64`] calls. Statistical quality is
+/// ample for AWGN synthesis (SplitMix64 passes BigCrush); it is **not** a
+/// cryptographic generator.
+#[derive(Debug, Clone)]
+pub struct CounterRng {
+    state: u64,
+}
+
+impl CounterRng {
+    /// Creates the stream rooted at `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        CounterRng { state: seed }
+    }
+}
+
+impl RngCore for CounterRng {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        // `splitmix64` already folds one γ increment into its finalizer,
+        // so stepping the state by γ afterwards yields exactly
+        // `finalize(seed + (i + 1)·γ)` per call.
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        out
+    }
+
+    /// Successive [`RngCore::next_u64`] outputs as little-endian bytes; a
+    /// partial tail draws one more word and keeps its first bytes.
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.state = crate::simd::fill_counter_bytes(self.state, dest);
+    }
 }
 
 /// The per-tag prefix of the slot-membership hash, precomputed once.
@@ -95,6 +143,12 @@ impl TagHashState {
     pub fn transmits(self, slot: u64, threshold: u64, l: u32) -> bool {
         self.slot_hash_bits(slot, l) <= threshold
     }
+
+    /// The precomputed prefix the eight-lane scan loads.
+    #[inline]
+    pub(crate) fn prefix(self) -> u64 {
+        self.prefix
+    }
 }
 
 /// Appends `ids[j]` to `out` for every `states[j]` that transmits in `slot`
@@ -118,10 +172,7 @@ pub fn transmitters_into(
 ) {
     assert!((1..=32).contains(&l), "l must be in 1..=32, got {l}");
     assert_eq!(states.len(), ids.len(), "one id per hash state");
-    #[cfg(target_arch = "x86_64")]
-    let done = avx512::transmitters_into(states, ids, slot, threshold, l, out);
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
+    let done = crate::simd::transmitters_prefix(states, ids, slot, threshold, l, out);
     scalar_transmitters_into(&states[done..], &ids[done..], slot, threshold, l, out);
 }
 
@@ -142,94 +193,14 @@ fn scalar_transmitters_into(
     }
 }
 
-/// Names the membership-scan kernel [`transmitters_into`] uses on this
+/// Names the kernels [`transmitters_into`] and [`crate::simd`] use on this
 /// host: `"avx512dq"` or `"scalar"`.
 #[must_use]
 pub fn membership_kernel() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if avx512::available() {
-        return "avx512dq";
-    }
-    "scalar"
-}
-
-/// The eight-lane membership scan. The only `unsafe` in the crate is the
-/// one feature-guarded call into [`avx512::scan`].
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx512 {
-    use super::{TagHashState, GAMMA, MIX1, MIX2};
-    use std::arch::x86_64::{
-        _mm512_add_epi64, _mm512_cmple_epu64_mask, _mm512_mullo_epi64, _mm512_set1_epi64,
-        _mm512_set_epi64, _mm512_srl_epi64, _mm512_srli_epi64, _mm512_xor_si512, _mm_cvtsi64_si128,
-    };
-
-    pub(super) fn available() -> bool {
-        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
-    }
-
-    /// Scans the longest multiple-of-eight prefix of `states` and returns
-    /// its length, or scans nothing and returns 0 when the CPU lacks
-    /// AVX-512DQ. The caller finishes the rest with the scalar loop.
-    pub(super) fn transmitters_into(
-        states: &[TagHashState],
-        ids: &[u32],
-        slot: u64,
-        threshold: u64,
-        l: u32,
-        out: &mut Vec<u32>,
-    ) -> usize {
-        if !available() {
-            return 0;
-        }
-        // SAFETY: `scan` enables exactly `avx512f` and `avx512dq`, and
-        // `available()` has just confirmed the running CPU supports both.
-        unsafe { scan(states, ids, slot, threshold, l, out) }
-    }
-
-    /// SplitMix64 of `prefix ^ slot` in eight lanes, reduced to `l` bits
-    /// and compared with `threshold`; the set mask bits are walked lowest
-    /// first, so transmitters come out in index order as in the scalar
-    /// loop. Lane arithmetic wraps like `wrapping_add`/`wrapping_mul`, so
-    /// every lane equals [`TagHashState::slot_hash`].
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure the CPU supports AVX-512F and AVX-512DQ. The
-    /// body itself touches memory only through slices.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn scan(
-        states: &[TagHashState],
-        ids: &[u32],
-        slot: u64,
-        threshold: u64,
-        l: u32,
-        out: &mut Vec<u32>,
-    ) -> usize {
-        let splat = |x: u64| _mm512_set1_epi64(x as i64);
-        let slot = splat(slot);
-        let gamma = splat(GAMMA);
-        let m1 = splat(MIX1);
-        let m2 = splat(MIX2);
-        let threshold = splat(threshold);
-        let shift = _mm_cvtsi64_si128(i64::from(64 - l));
-
-        let chunks = states.chunks_exact(8);
-        let done = states.len() - chunks.remainder().len();
-        for (s, id) in chunks.zip(ids.chunks_exact(8)) {
-            let p = |k: usize| s[k].prefix as i64;
-            let prefix = _mm512_set_epi64(p(7), p(6), p(5), p(4), p(3), p(2), p(1), p(0));
-            let mut x = _mm512_add_epi64(_mm512_xor_si512(prefix, slot), gamma);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)), m1);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)), m2);
-            x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
-            let mut mask = _mm512_cmple_epu64_mask(_mm512_srl_epi64(x, shift), threshold);
-            while mask != 0 {
-                out.push(id[mask.trailing_zeros() as usize]);
-                mask &= mask - 1;
-            }
-        }
-        done
+    if crate::simd::avx512_available() {
+        "avx512dq"
+    } else {
+        "scalar"
     }
 }
 

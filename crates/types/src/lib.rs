@@ -10,7 +10,11 @@
 //! * [`crc`] — the CRC-16 implementation used both inside [`TagId`] and by
 //!   the signal-layer demodulator to decide whether a decoded bit stream is a
 //!   valid single-tag ID.
-//! * [`hash`] — the deterministic slot-membership hash `H(ID|i)` from §IV-A.
+//! * [`hash`] — the deterministic slot-membership hash `H(ID|i)` from §IV-A,
+//!   and [`CounterRng`], the SplitMix64 counter stream every waveform
+//!   noise realization draws from.
+//! * [`simd`] — the AVX-512 kernels (membership scan, counter-stream
+//!   words, polar candidates, `ln`), each with a scalar reference.
 //!   Both the tags and the reader evaluate it, which is what lets the reader
 //!   reconstruct *which* known tags participated in an old collision slot.
 //! * [`timing`] — the Philips I-Code air-interface timing used in §VI
@@ -34,8 +38,8 @@
 //! let _ = transmits(id, 7, threshold, l);
 //! ```
 
-// `deny`, not `forbid`: the AVX-512 membership scan in `hash` is the one
-// `#[allow(unsafe_code)]` module.
+// `deny`, not `forbid`: `simd` is the workspace's one
+// module that allows `unsafe_code`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -43,12 +47,14 @@ pub mod crc;
 pub mod epc;
 pub mod hash;
 pub mod population;
+pub mod simd;
 pub mod slot;
 pub mod timing;
 
 mod id;
 mod tag_map;
 
+pub use hash::CounterRng;
 pub use id::{ParseTagIdError, TagId, PAYLOAD_BITS, TAG_ID_BITS};
 pub use slot::SlotClass;
 pub use tag_map::{TagIdHasher, TagMap, TagSet};

@@ -37,6 +37,8 @@
 //! assert!(report.throughput_tags_per_sec > 150.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rfid_analysis as analysis;
 pub use rfid_anc as anc;
 pub use rfid_protocols as protocols;

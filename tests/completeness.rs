@@ -130,3 +130,39 @@ fn elapsed_time_consistent_with_slots() {
         );
     }
 }
+
+/// The hash width must cover the population: FCAT-2 and SCAT-2 run at
+/// report probability `ω*/N`, and an `l`-bit threshold realizes nothing
+/// below `2^-l`, so both refuse `N > ⌊ω*·2^l⌋` with a typed error under
+/// either membership. At `l = 8` the cliff sits at `⌊ω*·256⌋ = 362`
+/// tags: 362 run to completion and 363 are refused.
+#[test]
+fn hash_width_must_cover_the_population() {
+    use anc_rfid::analysis::omega::optimal_omega;
+    use anc_rfid::anc::Membership;
+    use anc_rfid::sim::SimError;
+    let config = SimConfig::default().with_seed(5).with_hash_bits(8);
+    let max = (optimal_omega(2) * 256.0).floor() as usize;
+    assert_eq!(max, 362);
+    for membership in [Membership::Sampled, Membership::Hash] {
+        let protocols: [Box<dyn AntiCollisionProtocol>; 2] = [
+            Box::new(Fcat::new(FcatConfig::default().with_membership(membership))),
+            Box::new(Scat::new(ScatConfig::default().with_membership(membership))),
+        ];
+        for protocol in &protocols {
+            let fits = population::uniform(&mut seeded_rng(1), max);
+            let report = run_inventory(protocol.as_ref(), &fits, &config)
+                .unwrap_or_else(|e| panic!("{} {membership:?}: {e}", protocol.name()));
+            assert_eq!(report.identified, max);
+            let over = population::uniform(&mut seeded_rng(1), max + 1);
+            match run_inventory(protocol.as_ref(), &over, &config) {
+                Err(SimError::HashWidthExceeded {
+                    tags,
+                    hash_bits,
+                    max_tags,
+                }) => assert_eq!((tags, hash_bits, max_tags), (max + 1, 8, max as u64)),
+                other => panic!("{} {membership:?}: {other:?}", protocol.name()),
+            }
+        }
+    }
+}

@@ -152,3 +152,67 @@ fn scat2_signal_backed_matches_per_record_goldens() {
         );
     }
 }
+
+/// The eight-lane noise kernels (DESIGN.md §17) against their scalar
+/// meanings: `simd::ln_into` against `f64::ln` bit for bit on 10^6
+/// noise-domain values — the `s` of counter-stream polar candidates,
+/// values just below 1, either side of powers of two and around the
+/// smallest candidate `s = 2^-104` — and a whole noise pass against the
+/// per-pair polar loop, end state included. CI's release job runs the
+/// same `ln` comparison on 10^9 values.
+#[test]
+fn noise_kernels_match_their_scalar_meaning() {
+    use anc_rfid::signal::{standard_normal_pair, ChannelModel, Complex};
+    use anc_rfid::types::{simd, CounterRng};
+    use rand::RngCore;
+
+    let mut rng = CounterRng::new(2026);
+    let mut words = vec![0u8; 16 * 4_000];
+    let (mut us, mut vs, mut ss) = (vec![0.0; 4_000], vec![0.0; 4_000], vec![0.0; 4_000]);
+    let mut xs = Vec::with_capacity(1_000_000);
+    while xs.len() < 1_000_000 {
+        rng.fill_bytes(&mut words);
+        let accepted = simd::polar_candidates(&words, &mut us, &mut vs, &mut ss);
+        xs.extend_from_slice(&ss[..accepted]);
+        for _ in 0..1_000 {
+            let w = rng.next_u64();
+            let near = (w >> 54) as i64 - 512;
+            let e = (w % 105) as i32;
+            xs.push(f64::from_bits(1f64.to_bits() - 1 - (w >> 44)));
+            xs.push(f64::from_bits(
+                (2f64.powi(-e).to_bits() as i64 + near) as u64,
+            ));
+            xs.push(f64::from_bits(
+                (2f64.powi(-104).to_bits() as i64 + near) as u64,
+            ));
+        }
+    }
+    let mut logs = vec![0.0; xs.len()];
+    simd::ln_into(&xs, &mut logs);
+    for (x, l) in xs.iter().zip(&logs) {
+        assert_eq!(
+            l.to_bits(),
+            x.ln().to_bits(),
+            "ln({x:e}) on {}",
+            anc_rfid::types::hash::membership_kernel()
+        );
+    }
+
+    let model = ChannelModel::default().with_noise_std(0.2);
+    for (stream, len) in [(1u64, 0usize), (2, 1), (3, 17), (4, 769), (5, 5_000)] {
+        let mut noisy = vec![Complex::ZERO; len];
+        let mut fast = CounterRng::new(stream);
+        model.add_noise(&mut noisy, &mut fast);
+        let mut slow = CounterRng::new(stream);
+        for (i, z) in noisy.iter().enumerate() {
+            let (re, im) = standard_normal_pair(&mut slow);
+            let want = Complex::new(0.2 * re, 0.2 * im);
+            assert_eq!(
+                (z.re.to_bits(), z.im.to_bits()),
+                (want.re.to_bits(), want.im.to_bits()),
+                "{i}"
+            );
+        }
+        assert_eq!(fast.next_u64(), slow.next_u64(), "end state, len {len}");
+    }
+}
