@@ -250,6 +250,12 @@ pub fn run_fig4(opts: &ExperimentOptions) -> Table {
 
 /// **Fig. 5** — FCAT throughput vs ω at N = 10 000 for λ = 2, 3, 4.
 ///
+/// The rows do not run at the ω they name: an `l`-bit threshold realizes
+/// `(⌊p·2^l⌋ + 1)/2^l`, so with an exact estimate (p = ω/N) every row runs
+/// at the next multiple of N/2^l above ω, 0.153 at N = 10 000 and l = 16.
+/// The left end moves most: ω = 0.1 runs at load 0.153, and ω = 0.2 and
+/// 0.3 both at 0.305.
+///
 /// # Errors
 ///
 /// Propagates simulation failures.
@@ -1229,6 +1235,19 @@ mod tests {
             seed: 7,
             quick: true,
         }
+    }
+
+    /// The realized load `N·effective_probability(ω/N, l)` at Fig. 5's
+    /// left end, as `run_fig5`'s doc states.
+    #[test]
+    fn fig5_low_omega_rows_run_at_the_quantized_load() {
+        use rfid_types::hash::effective_probability;
+        let n = 10_000.0;
+        let load = |w: f64| n * effective_probability(w / n, 16);
+        assert_eq!(load(0.1), n / 65_536.0);
+        assert_eq!(load(0.2), 2.0 * n / 65_536.0);
+        assert_eq!(load(0.3), 2.0 * n / 65_536.0);
+        assert_eq!(format!("{:.3} {:.3}", load(0.1), load(0.3)), "0.153 0.305");
     }
 
     #[test]

@@ -6,14 +6,12 @@
 mod crdsa;
 mod dfsa;
 mod edfsa;
-mod framed;
 mod gen2q;
 mod slotted;
 
 pub use crdsa::{Crdsa, CrdsaConfig};
 pub use dfsa::{Dfsa, DfsaConfig};
 pub use edfsa::{Edfsa, EdfsaConfig};
-pub use framed::FramedSlottedAloha;
 pub use gen2q::{Gen2Q, Gen2QConfig};
 pub use slotted::SlottedAloha;
 
@@ -46,7 +44,7 @@ impl InitialEstimate {
 }
 
 pub(crate) mod frame {
-    //! Shared frame execution for the framed ALOHA variants.
+    //! Shared frame execution for DFSA and EDFSA.
 
     use rand::rngs::StdRng;
     use rand::Rng;

@@ -7,7 +7,6 @@
 //! | Protocol | Class | Paper role |
 //! |---|---|---|
 //! | [`SlottedAloha`] | ALOHA, per-slot probability | §VII background; `1/(eT)` ceiling |
-//! | [`FramedSlottedAloha`] | ALOHA, fixed frame | §VII background |
 //! | [`Dfsa`] | ALOHA, dynamic frame (Cha-Kim \[6\]) | Table I/II baseline |
 //! | [`Edfsa`] | ALOHA, capped frame + grouping (Lee-Joo-Lee \[5\]) | Table I/II baseline |
 //! | [`Abs`] | tree, counter-based binary splitting (Myung-Lee \[12\]) | Table I/II baseline |
@@ -27,8 +26,8 @@ pub mod estimate;
 pub mod tree;
 
 pub use aloha::{
-    Crdsa, CrdsaConfig, Dfsa, DfsaConfig, Edfsa, EdfsaConfig, FramedSlottedAloha, Gen2Q,
-    Gen2QConfig, InitialEstimate, SlottedAloha,
+    Crdsa, CrdsaConfig, Dfsa, DfsaConfig, Edfsa, EdfsaConfig, Gen2Q, Gen2QConfig, InitialEstimate,
+    SlottedAloha,
 };
 pub use estimate::{schoute_backlog, PreStepEstimator, PreStepOutcome};
 pub use tree::{Abs, AbsSession, Aqs, AqsSession, QueryTree};

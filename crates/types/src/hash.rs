@@ -143,12 +143,6 @@ impl TagHashState {
     pub fn transmits(self, slot: u64, threshold: u64, l: u32) -> bool {
         self.slot_hash_bits(slot, l) <= threshold
     }
-
-    /// The precomputed prefix the eight-lane scan loads.
-    #[inline]
-    pub(crate) fn prefix(self) -> u64 {
-        self.prefix
-    }
 }
 
 /// Appends `ids[j]` to `out` for every `states[j]` that transmits in `slot`
@@ -156,8 +150,9 @@ impl TagHashState {
 /// [`TagHashState::transmits`], with exactly the same result.
 ///
 /// On `x86_64` hosts with AVX-512DQ (detected at run time, see
-/// [`membership_kernel`]) the scan tests eight tags per step; everywhere
-/// else, and for the last `len % 8` tags, it runs the scalar loop.
+/// [`membership_kernel`]) the scan tests 32 tags per step and the last
+/// `len % 32` through masked loads; everywhere else it runs the scalar
+/// loop. Both compare the full-width hash with one pre-shifted limit.
 ///
 /// # Panics
 ///
@@ -172,22 +167,37 @@ pub fn transmitters_into(
 ) {
     assert!((1..=32).contains(&l), "l must be in 1..=32, got {l}");
     assert_eq!(states.len(), ids.len(), "one id per hash state");
-    let done = crate::simd::transmitters_prefix(states, ids, slot, threshold, l, out);
-    scalar_transmitters_into(&states[done..], &ids[done..], slot, threshold, l, out);
+    let limit = membership_limit(threshold, l);
+    if !crate::simd::transmitters_into(states, ids, slot, limit, l, out) {
+        scalar_transmitters_into(states, ids, slot, limit, out);
+    }
 }
 
-/// The reference loop behind [`transmitters_into`]; `l` is already checked.
+/// The full-width form of the `l`-bit test: `x >> (64 − l) ≤ threshold`
+/// exactly when `x ≤ membership_limit(threshold, l)`. The limit is
+/// `threshold` shifted into the top `l` bits with every lower bit set, or
+/// `u64::MAX` once `threshold ≥ 2^l − 1` admits every hash (the `p = 1`
+/// probe's `2^l` included).
+fn membership_limit(threshold: u64, l: u32) -> u64 {
+    let shift = 64 - l;
+    if threshold >= (1u64 << l) - 1 {
+        u64::MAX
+    } else {
+        threshold << shift | ((1u64 << shift) - 1)
+    }
+}
+
+/// The reference loop behind [`transmitters_into`] and its path on hosts
+/// without AVX-512DQ; `limit` comes from [`membership_limit`].
 fn scalar_transmitters_into(
     states: &[TagHashState],
     ids: &[u32],
     slot: u64,
-    threshold: u64,
-    l: u32,
+    limit: u64,
     out: &mut Vec<u32>,
 ) {
-    let shift = 64 - l;
     for (&state, &id) in states.iter().zip(ids) {
-        if state.slot_hash(slot) >> shift <= threshold {
+        if state.slot_hash(slot) <= limit {
             out.push(id);
         }
     }
@@ -410,7 +420,7 @@ mod tests {
             states.len()
         );
         let mut scalar = vec![u32::MAX];
-        scalar_transmitters_into(states, &ids, slot, t, l, &mut scalar);
+        scalar_transmitters_into(states, &ids, slot, membership_limit(t, l), &mut scalar);
         assert_eq!(
             scalar,
             expected,
@@ -437,7 +447,8 @@ mod tests {
 
     #[test]
     fn batch_scan_matches_per_tag_test_exactly() {
-        let mut lengths: Vec<usize> = (0..=17).collect();
+        // Every residue of the 32-tag step, and two full-size slices.
+        let mut lengths: Vec<usize> = (0..=70).collect();
         lengths.extend([2_900, 5_000]);
         let mut draw = 0x5EED_u64;
         let mut next = move || {
@@ -452,7 +463,13 @@ mod tests {
             for &n in &lengths {
                 let states = states(n, u64::from(l));
                 for &slot in &slots {
-                    for &t in &thresholds {
+                    // Thresholds at some tags' own hashes, and one below,
+                    // so a wrong low bit of the compared value shows.
+                    let at_tags = states.iter().step_by(7).take(3).flat_map(|s| {
+                        let h = s.slot_hash_bits(slot, l);
+                        [h, h.saturating_sub(1)]
+                    });
+                    for t in thresholds.iter().copied().chain(at_tags) {
                         check_batch(&states, slot, t, l);
                     }
                 }
@@ -476,7 +493,7 @@ mod tests {
         #[test]
         fn prop_batch_scan_matches_per_tag_test(
             seed in any::<u64>(),
-            n in 0usize..64,
+            n in 0usize..130,
             slot in any::<u64>(),
             l in 1u32..=32,
             threshold in any::<u64>(),

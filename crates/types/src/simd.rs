@@ -32,25 +32,28 @@ pub(crate) fn avx512_available() -> bool {
     }
 }
 
-/// Scans the longest multiple-of-eight prefix of the membership hash
-/// states and returns its length (0 without AVX-512DQ); the caller
-/// finishes the rest with its scalar loop.
-pub(crate) fn transmitters_prefix(
+/// Appends `ids[j]` for every `states[j]` whose `H(ID|slot)` is at most
+/// the pre-shifted `limit` (see `hash::membership_limit`) and returns
+/// `true`; on hosts without AVX-512DQ it returns `false` and leaves `out`
+/// alone, and the caller runs its scalar loop. `l` only decides whether
+/// the finalizer's last xor-shift can matter (`l = 32`).
+pub(crate) fn transmitters_into(
     states: &[crate::hash::TagHashState],
     ids: &[u32],
     slot: u64,
-    threshold: u64,
+    limit: u64,
     l: u32,
     out: &mut Vec<u32>,
-) -> usize {
+) -> bool {
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
         // SAFETY: `scan` enables exactly `avx512f` and `avx512dq`, and
         // `avx512_available()` has just confirmed the CPU supports both.
-        return unsafe { avx512::scan(states, ids, slot, threshold, l, out) };
+        unsafe { avx512::scan(states, ids, slot, limit, l, out) };
+        return true;
     }
-    let _ = (states, ids, slot, threshold, l, out);
-    0
+    let _ = (states, ids, slot, limit, l, out);
+    false
 }
 
 /// Fills `dest` from the counter stream at `state` exactly as
@@ -62,7 +65,7 @@ pub(crate) fn transmitters_prefix(
 pub fn fill_counter_bytes(state: u64, dest: &mut [u8]) -> u64 {
     #[cfg(target_arch = "x86_64")]
     let words = if avx512_available() {
-        // SAFETY: as in `transmitters_prefix`.
+        // SAFETY: as in `transmitters_into`.
         unsafe { avx512::counter_bytes(state, dest) }
     } else {
         0
@@ -107,7 +110,7 @@ pub fn polar_candidates(bytes: &[u8], us: &mut [f64], vs: &mut [f64], ss: &mut [
     );
     #[cfg(target_arch = "x86_64")]
     let (done, accepted) = if avx512_available() {
-        // SAFETY: as in `transmitters_prefix`; the lengths were checked
+        // SAFETY: as in `transmitters_into`; the lengths were checked
         // above, which is all the kernel's stores rely on.
         unsafe { avx512::polar(bytes, us, vs, ss) }
     } else {
@@ -159,7 +162,7 @@ pub fn ln_into(xs: &[f64], out: &mut [f64]) {
     assert!(out.len() >= xs.len(), "one output per input");
     #[cfg(target_arch = "x86_64")]
     let done = if avx512_available() {
-        // SAFETY: as in `transmitters_prefix`; lengths checked above.
+        // SAFETY: as in `transmitters_into`; lengths checked above.
         unsafe { avx512::ln(xs, out) }
     } else {
         0
@@ -589,64 +592,112 @@ mod avx512 {
     use crate::hash::{TagHashState, GAMMA, MIX1, MIX2};
     use std::arch::x86_64::*;
 
-    /// SplitMix64 of `prefix ^ slot` in eight lanes, reduced to `l` bits
-    /// and compared with `threshold`; the set mask bits are walked lowest
-    /// first, so transmitters come out in index order as in the scalar
-    /// loop. Lane arithmetic wraps like `wrapping_add`/`wrapping_mul`, so
-    /// every lane equals [`TagHashState::slot_hash`].
+    /// The membership scan over the whole slice: SplitMix64 of
+    /// `prefix ^ slot` in eight lanes, compared unshifted with the
+    /// pre-shifted `limit`, four vectors (32 tags) per step and the last
+    /// `len % 32` tags through masked loads. Each step's four masks make
+    /// one `u32` walked lowest bit first, so transmitters come out in index
+    /// order as in the scalar loop. Lane arithmetic wraps like
+    /// `wrapping_add`/`wrapping_mul`, so every lane equals
+    /// [`TagHashState::slot_hash`] up to the last xor-shift, which only
+    /// `l = 32` needs (DESIGN.md §17).
     ///
     /// # Safety
     ///
     /// Callers must ensure the CPU supports AVX-512F and AVX-512DQ. The
-    /// body itself touches memory only through slices.
+    /// body reads `states` only through the loads its comments bound, and
+    /// `ids` through slices.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) fn scan(
         states: &[TagHashState],
         ids: &[u32],
         slot: u64,
-        threshold: u64,
+        limit: u64,
         l: u32,
         out: &mut Vec<u32>,
-    ) -> usize {
-        let splat = |x: u64| _mm512_set1_epi64(x as i64);
-        let slot = splat(slot);
-        let gamma = splat(GAMMA);
-        let m1 = splat(MIX1);
-        let m2 = splat(MIX2);
-        let threshold = splat(threshold);
-        let shift = _mm_cvtsi64_si128(i64::from(64 - l));
+    ) {
+        if l == 32 {
+            scan_with::<true>(states, ids, slot, limit, out);
+        } else {
+            scan_with::<false>(states, ids, slot, limit, out);
+        }
+    }
 
-        let chunks = states.chunks_exact(8);
-        let done = states.len() - chunks.remainder().len();
-        for (s, id) in chunks.zip(ids.chunks_exact(8)) {
-            let p = |k: usize| s[k].prefix() as i64;
-            let prefix = _mm512_set_epi64(p(7), p(6), p(5), p(4), p(3), p(2), p(1), p(0));
-            let mut x = _mm512_add_epi64(_mm512_xor_si512(prefix, slot), gamma);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)), m1);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)), m2);
-            x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
-            let mut mask = _mm512_cmple_epu64_mask(_mm512_srl_epi64(x, shift), threshold);
+    /// [`scan`] with the finalizer's last xor-shift (`x ^ (x >> 31)`)
+    /// applied or not.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn scan_with<const LAST_XOR_SHIFT: bool>(
+        states: &[TagHashState],
+        ids: &[u32],
+        slot: u64,
+        limit: u64,
+        out: &mut Vec<u32>,
+    ) {
+        let (slot, limit) = (
+            _mm512_set1_epi64(slot as i64),
+            _mm512_set1_epi64(limit as i64),
+        );
+        // Lanes of `k` whose hash is within the limit; the others read 0.
+        let test = |k: __mmask8, prefix: __m512i| {
+            let mut x = multiply_rounds(_mm512_xor_si512(prefix, slot));
+            if LAST_XOR_SHIFT {
+                x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
+            }
+            u32::from(_mm512_mask_cmple_epu64_mask(k, x, limit))
+        };
+        let mut push = |mut mask: u32, ids: &[u32]| {
             while mask != 0 {
-                out.push(id[mask.trailing_zeros() as usize]);
+                out.push(ids[mask.trailing_zeros() as usize]);
                 mask &= mask - 1;
             }
+        };
+        // `TagHashState` is `repr(transparent)` over `u64`.
+        let prefixes = states.as_ptr().cast::<i64>();
+        let len = states.len();
+        let mut i = 0;
+        while i + 32 <= len {
+            // SAFETY: the four loads read `states[i..i + 32]`, in bounds.
+            let v = |j: usize| unsafe { _mm512_loadu_si512(prefixes.add(i + j).cast()) };
+            let mask = test(!0, v(0))
+                | test(!0, v(8)) << 8
+                | test(!0, v(16)) << 16
+                | test(!0, v(24)) << 24;
+            push(mask, &ids[i..i + 32]);
+            i += 32;
         }
-        done
+        let mut mask = 0;
+        for j in (0..len - i).step_by(8) {
+            let k = u8::MAX >> 8usize.saturating_sub(len - i - j);
+            // SAFETY: lane `t` of `k` is set only for `i + j + t < len`,
+            // and masked-off lanes are neither read nor faulted on.
+            let v = unsafe { _mm512_maskz_loadu_epi64(k, prefixes.add(i + j)) };
+            mask |= test(k, v) << j;
+        }
+        push(mask, &ids[i..]);
     }
 
     /// The SplitMix64 finalizer of `x + γ` in eight lanes.
     #[target_feature(enable = "avx512f,avx512dq")]
     fn splitmix(x: __m512i) -> __m512i {
+        let x = multiply_rounds(x);
+        _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x))
+    }
+
+    /// [`splitmix`] without its last xor-shift: the γ step and both
+    /// xor-shift-multiply rounds.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn multiply_rounds(x: __m512i) -> __m512i {
         let x = _mm512_add_epi64(x, _mm512_set1_epi64(GAMMA as i64));
         let x = _mm512_mullo_epi64(
             _mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)),
             _mm512_set1_epi64(MIX1 as i64),
         );
-        let x = _mm512_mullo_epi64(
+        _mm512_mullo_epi64(
             _mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)),
             _mm512_set1_epi64(MIX2 as i64),
-        );
-        _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x))
+        )
     }
 
     /// Writes counter-stream outputs, little-endian, into the longest

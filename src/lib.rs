@@ -15,7 +15,7 @@
 //!   [`AntiCollisionProtocol`](sim::AntiCollisionProtocol) trait, seeded reproducible runs, channel-error
 //!   injection, and a parallel multi-run harness.
 //! * [`protocols`] — the paper's baselines: DFSA, EDFSA, ABS, AQS, plus
-//!   slotted ALOHA, framed-slotted ALOHA, and a basic query tree.
+//!   slotted ALOHA and a basic query tree.
 //! * [`anc`] — the paper's contribution: the SCAT and FCAT collision-aware
 //!   protocols with cascading ANC collision resolution and the embedded
 //!   remaining-tag estimator.
@@ -55,8 +55,7 @@ pub mod prelude {
         SignalResolutionConfig, CALIBRATED_RESIDUAL_PER_HOP,
     };
     pub use rfid_protocols::{
-        Abs, Aqs, Crdsa, Dfsa, DfsaConfig, Edfsa, EdfsaConfig, FramedSlottedAloha, QueryTree,
-        SlottedAloha,
+        Abs, Aqs, Crdsa, Dfsa, DfsaConfig, Edfsa, EdfsaConfig, QueryTree, SlottedAloha,
     };
     pub use rfid_sim::{
         run_inventory, run_inventory_observed, run_many, run_many_observed, run_monitoring,

@@ -216,3 +216,60 @@ fn noise_kernels_match_their_scalar_meaning() {
         assert_eq!(fast.next_u64(), slow.next_u64(), "end state, len {len}");
     }
 }
+
+/// The membership scan behind `Membership::Hash` (DESIGN.md §17) against
+/// the per-tag test `H(ID|slot) >> (64 − l) ≤ threshold`, order included:
+/// every residue of the AVX-512 kernel's 32-tag step, the edge widths
+/// (`l = 32` is the one width whose result the finalizer's last xor-shift
+/// can change), the edge thresholds (`2^l` is the `p = 1` probe) and
+/// thresholds at the tags' own hashes, where a wrong low bit shows.
+#[test]
+fn membership_scan_matches_the_per_tag_test() {
+    use anc_rfid::types::hash::{membership_kernel, splitmix64, transmitters_into, TagHashState};
+
+    let mut draw = 0x5CA7_u64;
+    let mut next = move || {
+        draw = splitmix64(draw);
+        draw
+    };
+    let states: Vec<TagHashState> = (0..70u64)
+        .map(|j| {
+            TagHashState::new(TagId::from_raw_bits(
+                u128::from(next()) << 32 | u128::from(j),
+            ))
+        })
+        .collect();
+    // Distinct, non-monotone ids so a reordering cannot go unseen.
+    let ids: Vec<u32> = (0..70u32).map(|j| j.wrapping_mul(2_654_435_761)).collect();
+    for l in [1u32, 8, 16, 31, 32] {
+        let full = 1u64 << l;
+        for slot in [0, u64::MAX, next()] {
+            let mut thresholds = vec![0, 1, full - 1, full, next() % full];
+            for s in states.iter().step_by(5) {
+                let h = s.slot_hash_bits(slot, l);
+                thresholds.extend([h, h.saturating_sub(1)]);
+            }
+            for &t in &thresholds {
+                for n in 0..=70 {
+                    let (states, ids) = (&states[..n], &ids[..n]);
+                    let mut want = vec![u32::MAX];
+                    want.extend(
+                        states
+                            .iter()
+                            .zip(ids)
+                            .filter(|(s, _)| s.transmits(slot, t, l))
+                            .map(|(_, &id)| id),
+                    );
+                    let mut got = vec![u32::MAX];
+                    transmitters_into(states, ids, slot, t, l, &mut got);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} kernel, n={n} slot={slot} t={t} l={l}",
+                        membership_kernel()
+                    );
+                }
+            }
+        }
+    }
+}
